@@ -94,8 +94,7 @@ void Cluster::wire_rack() {
     for (auto& node : nodes_) hyps.push_back(&node->hypervisor());
     broker_ = std::make_unique<LendingBroker>(
         std::move(hyps),
-        sharded_ ? LendingMode::kSharded : LendingMode::kImmediate,
-        config_.lending_demand_weighted);
+        sharded_ ? LendingMode::kSharded : LendingMode::kImmediate);
     broker_->enable_async(config_.lending_async, config_.topology);
     for (std::size_t i = 0; i < n; ++i) {
       nodes_[i]->hypervisor().set_remote_tmem(
@@ -129,6 +128,7 @@ void Cluster::wire_rack() {
   downlinks_.reserve(n);
   last_rollup_.resize(n);
   rollup_rounds_.assign(n, 0);
+  rollups_suppressed_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     // Uplink: source side (send, latency draw, stats) lives with the node;
     // in sharded mode the receiver (GlobalManager) is reached through the
@@ -201,7 +201,9 @@ void Cluster::wire_rack() {
     }
     if (registry != nullptr) {
       gm_->register_metrics(*registry, n);
-      registry->add_counter("rack.rollups_suppressed", &rollups_suppressed_);
+      registry->add_gauge("rack.rollups_suppressed", [this] {
+        return static_cast<double>(rollups_suppressed());
+      });
       if (profiler_) profiler_->register_metrics(*registry);
       if (broker_) broker_->register_metrics(*registry);
       if (broker_ && broker_->fabric() != nullptr) {
@@ -358,12 +360,18 @@ void Cluster::on_node_sample(std::size_t i, const hyper::MemStats& stats) {
     ++rollup_rounds_[i];
     if (!resend_due && last_rollup_[i] &&
         same_payload(*last_rollup_[i], ns)) {
-      ++rollups_suppressed_;
+      ++rollups_suppressed_[i];
       return;
     }
     last_rollup_[i] = ns;
   }
   uplinks_[i]->send(ns);
+}
+
+std::uint64_t Cluster::rollups_suppressed() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : rollups_suppressed_) total += c;
+  return total;
 }
 
 std::uint64_t Cluster::rack_control_bytes() const {

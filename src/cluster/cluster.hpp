@@ -68,12 +68,6 @@ struct ClusterConfig {
   /// Remote-tmem lending between nodes.
   bool lending = true;
 
-  /// Demand-weighted lending credit split (sharded mode): each window's
-  /// donor credit divides proportionally to the borrowers' failed
-  /// placements of the previous window instead of evenly. Off by default —
-  /// the even split is the byte-identical historic behaviour.
-  bool lending_demand_weighted = false;
-
   /// Asynchronous lending data plane (cluster/lend_fabric.hpp): borrows run
   /// as request/response round trips over the topology's lending hops, with
   /// faults, timeouts, retries, congestion and an optional borrower-side
@@ -146,8 +140,9 @@ class Cluster {
   bool all_done() const;
 
   /// Roll-ups not sent because the payload matched the node's previous one
-  /// (delta mode only).
-  std::uint64_t rollups_suppressed() const { return rollups_suppressed_; }
+  /// (delta mode only). Summed over the per-node counters: read it at
+  /// barriers or after the run, never mid-window.
+  std::uint64_t rollups_suppressed() const;
   /// Rack control-plane payload bytes actually sent (uplinks + downlinks).
   std::uint64_t rack_control_bytes() const;
 
@@ -182,11 +177,12 @@ class Cluster {
   sim::EventHandle metrics_sampler_;  // classic mode only
   SimTime snapshot_interval_ = 0;     // sharded mode: barrier-driven
   SimTime next_snapshot_ = 0;
-  // Roll-up delta state (delta mode): last payload sent per node + per-node
-  // sample occasion counter driving the resync cadence.
+  // Roll-up delta state (delta mode): last payload sent per node, per-node
+  // sample occasion counter driving the resync cadence, and per-node
+  // suppressed count. Entry i is written only by node i's shard.
   std::vector<std::optional<NodeStats>> last_rollup_;
   std::vector<std::uint64_t> rollup_rounds_;
-  std::uint64_t rollups_suppressed_ = 0;
+  std::vector<std::uint64_t> rollups_suppressed_;
   bool started_ = false;
   bool finished_ = false;
 };

@@ -38,8 +38,8 @@ core::ScenarioSpec fleet_node_scenario(const FleetExperimentConfig& cfg,
       scaled_mib(16.0 * static_cast<double>(cfg.vms_per_node), cfg.scale);
   // Lending-heavy cold nodes carry deliberately small tmem: the donor pool
   // is then scarce against the two hot borrowers' combined appetite, so
-  // credit runs out in some windows and the split policy (even vs
-  // demand-weighted) decides who eats the shortfall.
+  // credit runs out in some windows and the even split decides who eats
+  // the shortfall.
   if (cfg.lending_heavy && node >= 2) spec.tmem_pages /= 4;
   // Arrivals are scheduled explicitly per tenant; no extra jitter on top.
   spec.start_jitter_max = 0;
@@ -55,8 +55,8 @@ core::ScenarioSpec fleet_node_scenario(const FleetExperimentConfig& cfg,
     // tenants spill far past RAM + tmem (quota demand above physical) and
     // cold nodes whose tenants fit in RAM outright (zero tmem demand, so
     // their quota shrinks and their frames become lendable). Two borrowers
-    // with unequal spill, not one, so the credit-split policy (even vs
-    // demand-weighted) has an actual allocation decision to make.
+    // with unequal spill, not one, so the credit split has an actual
+    // allocation decision to make.
     const double ws_x = !cfg.lending_heavy ? 1.25
                         : node == 0        ? 1.6
                         : node == 1        ? 1.4
@@ -112,7 +112,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
   ccfg.global_interval = static_cast<SimTime>(
       cfg.global_interval_x * static_cast<double>(base.sample_interval));
   ccfg.lending = cfg.lending;
-  ccfg.lending_demand_weighted = cfg.lending_demand_weighted;
   ccfg.lending_async = cfg.lending_async;
   if (cfg.lending_async.enabled) {
     // The lending hops deliberately do NOT scale with cfg.scale (the

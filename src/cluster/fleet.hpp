@@ -7,10 +7,10 @@
 // and the rack carries a demand gradient), staggered arrivals, and a
 // YCSB-style phase mix per tenant (workloads::make_fleet_tenant). Every
 // knob of DESIGN §12 is a config axis here — delta encoding on both the
-// per-VM and the rack hops, the O(changed-VMs) MM decide path, and the
-// demand-weighted lending split — so the fig_fleet_scaling bench can sweep
-// them against the classic full-vector baseline and read the control-plane
-// bytes and decide-time probes off the result.
+// per-VM and the rack hops and the O(changed-VMs) MM decide path — so the
+// fig_fleet_scaling bench can sweep them against the classic full-vector
+// baseline and read the control-plane bytes and decide-time probes off the
+// result.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@ struct FleetExperimentConfig {
   /// Per-VM policy every node runs internally.
   mm::PolicySpec node_policy = mm::PolicySpec::smart(25.0);
   bool lending = true;
-  bool lending_demand_weighted = false;
 
   /// Lending-heavy geometry: node 0's tenants oversubscribe hard
   /// (working set = 1.6x usable RAM) while every other node's tenants fit

@@ -7,45 +7,9 @@
 
 namespace smartmem::cluster {
 
-std::vector<PageCount> split_credit(PageCount pool,
-                                    const std::vector<std::uint64_t>& demand,
-                                    bool demand_weighted) {
-  const std::size_t n = demand.size();
-  std::vector<PageCount> share(n, 0);
-  if (n == 0 || pool == 0) return share;
-
-  // Largest-remainder apportionment over weights (1 + demand), which with
-  // uniform weights degenerates to the historic even split: base = pool / n,
-  // remainder to the lowest indices.
-  std::vector<std::uint64_t> weight(n, 1);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (demand_weighted) weight[i] += demand[i];
-    total += weight[i];
-  }
-  PageCount assigned = 0;
-  std::vector<std::uint64_t> frac(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    share[i] = pool * weight[i] / total;
-    frac[i] = pool * weight[i] % total;
-    assigned += share[i];
-  }
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (frac[a] != frac[b]) return frac[a] > frac[b];
-    return a < b;
-  });
-  for (std::size_t k = 0; assigned < pool; ++k) {
-    share[order[k]] += 1;
-    ++assigned;
-  }
-  return share;
-}
-
 LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
-                             LendingMode mode, bool demand_weighted)
-    : hyps_(std::move(nodes)), mode_(mode), demand_weighted_(demand_weighted) {
+                             LendingMode mode)
+    : hyps_(std::move(nodes)), mode_(mode) {
   if (hyps_.size() < 2) {
     throw std::invalid_argument("LendingBroker: needs at least 2 nodes");
   }
@@ -57,6 +21,11 @@ LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
       state_[i].credit.assign(hyps_.size(), 0);
       state_[i].pending_release.assign(hyps_.size(), 0);
     }
+  }
+  if (mode_ == LendingMode::kSharded) {
+    granted_.assign(hyps_.size(), 0);
+    consumed_.assign(hyps_.size(), 0);
+    pool_.assign(hyps_.size(), 0);
   }
 }
 
@@ -131,6 +100,7 @@ void LendingBroker::release_frame(NodeState& st, const RemoteKey& key,
                                   NodeId donor) {
   st.shadow.erase(key);
   st.pending_release[donor] += 1;
+  st.dirty = true;
 }
 
 bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
@@ -201,12 +171,12 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
       st.last_elapsed += out.elapsed;
       if (!out.ok) {
         ++st.failed_placements;
-        ++st.failed_placements_total;
         return false;
       }
     }
     if (mode_ == LendingMode::kSharded) {
       st.credit[donor] -= 1;
+      st.dirty = true;
       st.shadow.emplace(key, payload);
     } else if (!hyps_[donor]->host_remote_put(node, vm, type, object, index,
                                               payload)) {
@@ -234,7 +204,6 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
     return true;
   }
   ++st.failed_placements;
-  ++st.failed_placements_total;
   return false;
 }
 
@@ -408,7 +377,7 @@ std::uint64_t LendingBroker::borrow_misses() const {
 
 std::uint64_t LendingBroker::failed_placements() const {
   std::uint64_t total = 0;
-  for (const NodeState& s : state_) total += s.failed_placements_total;
+  for (const NodeState& s : state_) total += s.failed_placements;
   return total;
 }
 
@@ -515,26 +484,29 @@ void LendingBroker::sync_window() {
   assert(mode_ == LendingMode::kSharded);
   const NodeId n = static_cast<NodeId>(hyps_.size());
 
-  // 1. Pool the window's leftovers: unused credit (counters only, no store
-  //    traffic) and frames freed by borrower-side flushes.
-  std::vector<PageCount> credit_pool(n, 0);
-  std::vector<PageCount> freed(n, 0);
+  // 1. Settle the dirty partitions. A clean partition still holds exactly
+  //    its share of each donor's last grant, so only dirty ones can have
+  //    used credit (counters only, no store traffic) or freed frames.
   for (NodeId b = 0; b < n; ++b) {
     NodeState& st = state_[b];
+    if (!st.dirty) continue;
+    st.dirty = false;
     for (NodeId d = 0; d < n; ++d) {
-      credit_pool[d] += st.credit[d];
-      st.credit[d] = 0;
-      freed[d] += st.pending_release[d];
-      st.pending_release[d] = 0;
+      if (d == b) continue;
+      consumed_[d] += credit_share(granted_[d], d, b) - st.credit[d];
+      if (st.pending_release[d] > 0) {
+        hyps_[d]->host_unlease(st.pending_release[d]);
+        st.pending_release[d] = 0;
+      }
     }
   }
-  for (NodeId d = 0; d < n; ++d) {
-    if (freed[d] > 0) hyps_[d]->host_unlease(freed[d]);
-  }
+  for (NodeId d = 0; d < n; ++d) pool_[d] = granted_[d] - consumed_[d];
 
   // 2. Entitlement pressure: a donor whose quota grew needs frames back.
   //    Shed unused credit first (free), recall actually-borrowed pages only
-  //    for the remainder.
+  //    for the remainder. Runs for every donor before any lease below: a
+  //    recall re-homes pages into borrower stores, which moves their
+  //    lendable capacity.
   for (NodeId d = 0; d < n; ++d) {
     const hyper::Hypervisor& hyp = *hyps_[d];
     const PageCount phys = hyp.total_tmem();
@@ -545,38 +517,27 @@ void LendingBroker::sync_window() {
     PageCount lent = hyp.lent_pages();
     if (lent <= cap) continue;
     PageCount excess = lent - cap;
-    const PageCount shed = std::min(excess, credit_pool[d]);
+    const PageCount shed = std::min(excess, pool_[d]);
     if (shed > 0) {
       hyps_[d]->host_unlease(shed);
-      credit_pool[d] -= shed;
+      pool_[d] -= shed;
       excess -= shed;
     }
     if (excess > 0) recall_lent(d, excess);
   }
 
-  // 3. Top every donor's lease back up to its lendable capacity and hand
-  //    the pooled credit out for the next window — evenly by default,
-  //    weighted by last window's failed placements when demand-weighting is
-  //    on (split_credit reduces to the historic even split in either case
-  //    when demands are uniform).
-  std::vector<std::uint64_t> demand(n - 1, 0);
+  // 3. Top every donor's lease back up to its lendable capacity and split
+  //    the pool evenly for the next window. A donor whose pool neither moved
+  //    nor had credit used still has its last split in place.
   for (NodeId d = 0; d < n; ++d) {
-    credit_pool[d] += hyps_[d]->host_lease(hyps_[d]->lendable_pages());
-    if (credit_pool[d] == 0) continue;  // step 1 already zeroed the credits
-    std::size_t k = 0;
+    pool_[d] += hyps_[d]->host_lease(hyps_[d]->lendable_pages());
+    if (pool_[d] == granted_[d] && consumed_[d] == 0) continue;
     for (NodeId b = 0; b < n; ++b) {
-      if (b != d) demand[k++] = state_[b].failed_placements;
+      if (b != d) state_[b].credit[d] = credit_share(pool_[d], d, b);
     }
-    const std::vector<PageCount> share =
-        split_credit(credit_pool[d], demand, demand_weighted_);
-    k = 0;
-    for (NodeId b = 0; b < n; ++b) {
-      if (b != d) state_[b].credit[d] = share[k++];
-    }
+    granted_[d] = pool_[d];
+    consumed_[d] = 0;
   }
-  // The window's demand signal is consumed; the next window accumulates
-  // afresh.
-  for (NodeState& s : state_) s.failed_placements = 0;
 
   PageCount total = 0;
   for (const NodeState& s : state_) total += s.borrowed_total;

@@ -67,26 +67,20 @@ enum class LendingMode : std::uint8_t {
   kSharded,
 };
 
-/// Splits a donor's credit pool across its borrowers. `demand[i]` is
-/// borrower i's failed-placement count from the last window; with
-/// `demand_weighted` the pool divides proportionally to (1 + demand[i]) by
-/// largest remainder (ties to the lowest index), otherwise evenly with the
-/// remainder to the lowest indices. The two coincide when every demand is
-/// equal, so the weighted split is a strict generalization of the even one.
-std::vector<PageCount> split_credit(PageCount pool,
-                                    const std::vector<std::uint64_t>& demand,
-                                    bool demand_weighted);
+/// Borrower `k`'s share (k in [0, members)) of a donor's credit pool split
+/// evenly over `members` borrowers, the remainder going to the lowest
+/// indices: pool / members + (k < pool % members). The shares sum to `pool`.
+constexpr PageCount even_credit_share(PageCount pool, PageCount members,
+                                      PageCount k) {
+  return pool / members + (k < pool % members ? 1 : 0);
+}
 
 class LendingBroker {
  public:
   /// `nodes[i]` is node i's hypervisor; the broker holds the pointers for
-  /// the cluster's lifetime. With `demand_weighted` (kSharded only) each
-  /// window's credit splits proportionally to the borrowers' failed
-  /// placements of the previous window instead of evenly — borrowers that
-  /// ran out of credit get more, idle ones keep a floor share.
+  /// the cluster's lifetime.
   explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes,
-                         LendingMode mode = LendingMode::kImmediate,
-                         bool demand_weighted = false);
+                         LendingMode mode = LendingMode::kImmediate);
 
   LendingBroker(const LendingBroker&) = delete;
   LendingBroker& operator=(const LendingBroker&) = delete;
@@ -123,9 +117,14 @@ class LendingBroker {
   /// entitlement grew past their lease shed unused credit and recall
   /// borrowed pages; every donor then tops its lease back up to its full
   /// lendable capacity and the resulting credit pool is split evenly across
-  /// the borrowers. Only lease *deltas* touch the store, so the steady-state
-  /// cost per barrier is proportional to the window's lending activity, not
-  /// to the lease depth.
+  /// the borrowers.
+  ///
+  /// Cost: only borrowers whose partition marked itself dirty (consumed
+  /// credit or freed a frame) are read, O(nodes) each; a donor's credit
+  /// column is rewritten, O(nodes), only when its pool moved (credit used,
+  /// shed, or a fresh lease). Every donor still gets one O(1) entitlement
+  /// check and lease probe, so an idle barrier is O(nodes), and no barrier
+  /// allocates. Only lease *deltas* touch the store.
   void sync_window();
 
   LendingMode mode() const { return mode_; }
@@ -136,12 +135,10 @@ class LendingBroker {
   std::uint64_t borrow_hits() const;
   std::uint64_t borrow_misses() const;
   /// Lifetime fresh placements that found no donor (no lendable frame in
-  /// immediate mode, no remaining window credit in sharded mode). The
-  /// per-window slice of this is the demand-weighted split's signal.
+  /// immediate mode, no remaining window credit in sharded mode).
   std::uint64_t failed_placements() const;
   /// Replacement puts lost to the fabric (async data plane only).
   std::uint64_t failed_replacements() const;
-  bool demand_weighted() const { return demand_weighted_; }
   std::uint64_t recalls() const { return recalls_; }
   std::uint64_t recall_migrations() const { return recall_migrations_; }
 
@@ -225,11 +222,10 @@ class LendingBroker {
     std::uint64_t placements = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t failed_placements = 0;        // this window (demand signal)
-    std::uint64_t failed_placements_total = 0;  // lifetime
+    std::uint64_t failed_placements = 0;
     /// Replacement puts the fabric failed to deliver: the borrowed entry is
     /// dropped (the guest falls back to disk) so owns() never lies. Not a
-    /// placement failure — kept out of the demand signal.
+    /// placement failure.
     std::uint64_t failed_replacements = 0;
     // ---- kSharded only ----------------------------------------------------
     // Authoritative payloads of this borrower's borrowed pages. In sharded
@@ -242,6 +238,9 @@ class LendingBroker {
     // pending_release[d]: frames freed this window (flush / ephemeral-hit
     // consume) that sync_window() returns to donor d's free pool.
     std::vector<PageCount> pending_release;
+    // Set by this partition whenever it consumes credit or queues a freed
+    // frame; sync_window() settles (and clears) only dirty partitions.
+    bool dirty = false;
     // Partition-local trace sink (attach_partition_obs).
     obs::TraceRecorder* trace = nullptr;
     std::function<SimTime()> clock;
@@ -270,18 +269,35 @@ class LendingBroker {
   void release_frame(NodeState& st, const RemoteKey& key, NodeId donor);
   void trace_instant(NodeState& st, const char* name, NodeId borrower,
                      NodeId donor);
+  /// Borrower `b`'s share of donor `d`'s credit pool `pool`.
+  PageCount credit_share(PageCount pool, NodeId d, NodeId b) const {
+    const PageCount members = hyps_.size() - 1;
+    return even_credit_share(pool, members, b < d ? b : b - 1);
+  }
 
   std::vector<hyper::Hypervisor*> hyps_;
   std::vector<NodeState> state_;
   std::unique_ptr<LendFabric> fabric_;  // async data plane (null = sync)
   LendingMode mode_;
-  bool demand_weighted_ = false;
+  // ---- kSharded settlement state (coordinator-owned) -----------------------
+  // granted_[d]: donor d's credit pool as split at the last barrier, so
+  // state_[b].credit[d] == credit_share(granted_[d], d, b) for every
+  // partition that stayed clean since.
+  std::vector<PageCount> granted_;
+  // Per-barrier scratch, sized once: credit the dirty partitions consumed
+  // from each donor, and each donor's working pool.
+  std::vector<PageCount> consumed_;
+  std::vector<PageCount> pool_;
   PageCount peak_borrowed_ = 0;
   std::uint64_t recalls_ = 0;
   std::uint64_t recall_migrations_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
   std::function<SimTime()> clock_;
   std::uint16_t track_ = 0;
+
+  // Test-only dense O(nodes^2) settlement the dirty-set sync_window() is
+  // checked against (tests/cluster_lending_oracle_test.cpp).
+  friend struct SettlementOracle;
 };
 
 }  // namespace smartmem::cluster

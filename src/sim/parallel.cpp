@@ -46,7 +46,7 @@ std::size_t ParallelEngine::add_shard(Simulator* sim) {
   if (sim == nullptr) {
     throw std::invalid_argument("ParallelEngine: null shard simulator");
   }
-  shards_.push_back(Shard{sim, {}, 0});
+  shards_.push_back(Shard{sim, {}, 0, 0});
   for (Shard& s : shards_) s.outbox.resize(shards_.size());
   return shards_.size() - 1;
 }
@@ -56,6 +56,7 @@ void ParallelEngine::post(std::size_t src, std::size_t dst, SimTime when,
   Shard& s = shards_.at(src);
   s.outbox.at(dst).push_back(
       Staged{when, s.next_post_seq++, std::move(action)});
+  ++s.staged;
 }
 
 void ParallelEngine::set_barrier_hook(std::function<void(SimTime)> hook) {
@@ -140,33 +141,32 @@ void ParallelEngine::drain_outboxes(SimTime end) {
   // (deliver time, source shard, source sequence). Destination simulators
   // assign their tie-break sequence numbers in this order, so equal-time
   // deliveries on one shard always fire in the same relative order no
-  // matter which worker staged them first in wall-clock.
-  struct Entry {
-    SimTime when;
-    std::size_t src;
-    std::uint64_t seq;
-    std::size_t dst;
-    std::function<void()>* action;
-  };
-  std::vector<Entry> all;
+  // matter which worker staged them first in wall-clock. Sources that
+  // staged nothing are skipped outright, so a quiet window costs one count
+  // test per shard.
+  std::vector<DrainEntry>& all = drain_buf_;
+  all.clear();
   for (std::size_t src = 0; src < shards_.size(); ++src) {
+    if (shards_[src].staged == 0) continue;
     for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
       std::vector<Staged>& box = shards_[src].outbox[dst];
-      if (profiler_ != nullptr && !box.empty()) {
+      if (box.empty()) continue;
+      if (profiler_ != nullptr) {
         profiler_->record_injections(src, dst, box.size());
       }
       for (Staged& st : box) {
-        all.push_back(Entry{st.when, src, st.seq, dst, &st.action});
+        all.push_back(DrainEntry{st.when, src, st.seq, dst, &st.action});
       }
     }
   }
   if (all.empty()) return;
-  std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
-  });
-  for (Entry& e : all) {
+  std::sort(all.begin(), all.end(),
+            [](const DrainEntry& a, const DrainEntry& b) {
+              if (a.when != b.when) return a.when < b.when;
+              if (a.src != b.src) return a.src < b.src;
+              return a.seq < b.seq;
+            });
+  for (DrainEntry& e : all) {
     // The lookahead discipline guarantees nothing staged in a window is due
     // before the window's end; a violation would mean the message raced
     // events that already executed.
@@ -176,7 +176,9 @@ void ParallelEngine::drain_outboxes(SimTime end) {
     ++posted_;
   }
   for (Shard& s : shards_) {
+    if (s.staged == 0) continue;
     for (auto& box : s.outbox) box.clear();
+    s.staged = 0;
   }
 }
 

@@ -108,6 +108,17 @@ class ParallelEngine {
     // during a window, drained only by the coordinator at the barrier.
     std::vector<std::vector<Staged>> outbox;
     std::uint64_t next_post_seq = 0;
+    // Deliveries staged since the last drain (same ownership as outbox):
+    // the drain skips a source whose count is 0 without touching its boxes.
+    std::size_t staged = 0;
+  };
+  // One staged delivery in the drain's (when, src, seq) order.
+  struct DrainEntry {
+    SimTime when;
+    std::size_t src;
+    std::uint64_t seq;
+    std::size_t dst;
+    std::function<void()>* action;
   };
 
   void run_window_parallel(SimTime end);
@@ -124,6 +135,8 @@ class ParallelEngine {
   EngineProfiler* profiler_ = nullptr;
   std::uint64_t windows_ = 0;
   std::uint64_t posted_ = 0;
+  // Coordinator-only sort buffer, reused by every drain.
+  std::vector<DrainEntry> drain_buf_;
 
   // Window barrier for persistent workers (created on first run() when
   // threads > 1): the coordinator publishes a window end and an epoch; each

@@ -293,7 +293,6 @@ FleetExperimentConfig lending_fleet(std::size_t sim_threads, bool flaky) {
   cfg.seed = 42;
   cfg.delta = true;
   cfg.lending_heavy = true;
-  cfg.lending_demand_weighted = true;
   cfg.lending_async.enabled = true;
   cfg.lending_async.cache_pages = 64;
   if (flaky) {

@@ -202,62 +202,43 @@ TEST(LendingIntegrationTest, FullNodeBelowQuotaSpillsToDonor) {
             hyper::OpStatus::kNoCapacity);
 }
 
-// ---- split_credit: the demand-weighted credit apportionment ---------------
+// ---- even_credit_share: the closed-form even credit split ---------------
 
-TEST(SplitCredit, UnweightedIsTheHistoricEvenSplit) {
-  // base = pool / n, remainder to the lowest indices — the split the broker
-  // has always used. demand is ignored entirely when weighting is off.
-  const std::vector<std::uint64_t> demand = {9, 0, 4};
-  const auto share = split_credit(10, demand, /*demand_weighted=*/false);
-  ASSERT_EQ(share.size(), 3u);
-  EXPECT_EQ(share[0], 4u);
-  EXPECT_EQ(share[1], 3u);
-  EXPECT_EQ(share[2], 3u);
+TEST(EvenCreditShare, RemainderGoesToTheLowestIndices) {
+  // base = pool / members, remainder to the lowest indices.
+  EXPECT_EQ(even_credit_share(10, 3, 0), 4u);
+  EXPECT_EQ(even_credit_share(10, 3, 1), 3u);
+  EXPECT_EQ(even_credit_share(10, 3, 2), 3u);
+  // pool 7 over 4 members: base 1, remainder 3 -> indices 0,1,2.
+  for (PageCount k = 0; k < 4; ++k) {
+    EXPECT_EQ(even_credit_share(7, 4, k), k < 3 ? 2u : 1u) << "k " << k;
+  }
 }
 
-TEST(SplitCredit, UniformDemandDegeneratesToEvenSplit) {
-  // Equal weights must reproduce the unweighted split bit for bit — the
-  // byte-identity guarantee for default-config cluster runs.
-  for (PageCount pool : {0u, 1u, 7u, 10u, 64u, 1000u}) {
-    for (std::uint64_t d : {0ull, 5ull, 100ull}) {
-      const std::vector<std::uint64_t> demand(5, d);
-      EXPECT_EQ(split_credit(pool, demand, true),
-                split_credit(pool, demand, false))
-          << "pool " << pool << " demand " << d;
+TEST(EvenCreditShare, SharesConserveThePoolAndDifferByAtMostOne) {
+  for (PageCount members : {1u, 2u, 5u, 63u}) {
+    for (PageCount pool : {0u, 1u, 7u, 10u, 64u, 1000u}) {
+      PageCount sum = 0;
+      for (PageCount k = 0; k < members; ++k) {
+        const PageCount share = even_credit_share(pool, members, k);
+        EXPECT_LE(share, pool / members + 1);
+        EXPECT_GE(share, pool / members);
+        sum += share;
+      }
+      EXPECT_EQ(sum, pool) << "pool " << pool << " members " << members;
     }
   }
 }
 
-TEST(SplitCredit, ConservesPoolAndFollowsDemand) {
-  const std::vector<std::uint64_t> demand = {0, 10, 40, 0};
-  const auto share = split_credit(100, demand, true);
-  ASSERT_EQ(share.size(), 4u);
-  PageCount sum = 0;
-  for (const PageCount s : share) sum += s;
-  EXPECT_EQ(sum, 100u);  // largest-remainder: every page is assigned
-  // Weights are 1 + demand: more failed placements, at least as much credit.
-  EXPECT_GT(share[2], share[1]);
-  EXPECT_GT(share[1], share[0]);
-  EXPECT_EQ(share[0], share[3]);
-}
-
-TEST(SplitCredit, RemainderTiesBreakToLowestIndex) {
-  // pool 7 over 4 equal weights: base 1, remainder 3 -> indices 0,1,2.
-  const std::vector<std::uint64_t> demand(4, 2);
-  const auto share = split_credit(7, demand, true);
-  EXPECT_EQ(share, (std::vector<PageCount>{2, 2, 2, 1}));
-}
-
-TEST_F(LendingBrokerTest, FailedPlacementsFeedTheDemandSignal) {
+TEST_F(LendingBrokerTest, FailedPlacementsAreCounted) {
   // No donor has a lendable frame (unlimited quota reserves everything):
-  // each failed placement is recorded as demand for the weighted split.
+  // each fresh placement that finds no donor counts as failed.
   donor_.set_node_quota(kUnlimitedTarget);
   EXPECT_FALSE(
       broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
   EXPECT_FALSE(
       broker_.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 1, 43));
   EXPECT_EQ(broker_.failed_placements(), 2u);
-  EXPECT_FALSE(broker_.demand_weighted());  // default stays the even split
 }
 
 }  // namespace

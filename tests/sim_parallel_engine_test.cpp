@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -166,6 +167,142 @@ TEST(ParallelEngineTest, StopWhenCutsRunAtBarrier) {
   EXPECT_GE(fired, 5);
   EXPECT_LT(fired, 200);  // stopped long before the queue drained
   EXPECT_LE(end, 1'000);
+}
+
+// ---- Outbox drain: sparse sources, hook-staged posts, quiet stretches ----
+
+/// One delivery as its destination shard saw it. Each destination's log is
+/// written only by events on that shard, so workers never share a log.
+struct Delivery {
+  SimTime when;
+  std::string tag;
+  bool operator==(const Delivery& o) const {
+    return when == o.when && tag == o.tag;
+  }
+};
+
+struct DrainRun {
+  std::vector<std::vector<Delivery>> logs;  // per destination shard
+  std::uint64_t posted = 0;
+  std::uint64_t windows = 0;
+};
+
+/// Builds `shards` shards, lets `setup` schedule work and `hook` (may be
+/// empty) run at every barrier, and runs to `deadline`.
+template <typename Setup, typename Hook>
+DrainRun run_drain(std::size_t threads, std::size_t shards, SimTime deadline,
+                   Setup&& setup, Hook&& hook) {
+  std::vector<std::unique_ptr<Simulator>> sims;
+  ParallelEngine eng({kLookahead, threads});
+  for (std::size_t i = 0; i < shards; ++i) {
+    sims.push_back(std::make_unique<Simulator>());
+    eng.add_shard(sims.back().get());
+  }
+  DrainRun r;
+  r.logs.resize(shards);
+  // post(src, dst, when, tag): the delivery appends to dst's log.
+  auto post = [&](std::size_t src, std::size_t dst, SimTime when,
+                  const std::string& tag) {
+    eng.post(src, dst, when, [&r, &sims, dst, tag] {
+      r.logs[dst].push_back(Delivery{sims[dst]->now(), tag});
+    });
+  };
+  setup(sims, post);
+  eng.set_barrier_hook([&](SimTime end) { hook(end, post); });
+  eng.run([] { return false; }, deadline);
+  r.posted = eng.messages_posted();
+  r.windows = eng.windows_run();
+  return r;
+}
+
+TEST(ParallelEngineTest, DrainDeliversFromOneSourceAmongMany) {
+  // Eight live shards, one of which posts: out of time order, with ties,
+  // to two destinations. Each destination sees (when, seq) order.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const DrainRun r = run_drain(
+        threads, 8, 1'000,
+        [](auto& sims, auto& post) {
+          for (auto& s : sims) s->schedule_at(5, [] {});
+          sims[5]->schedule_at(10, [&post] {
+            post(5, 2, 300, "a");
+            post(5, 2, 200, "b");
+            post(5, 6, 200, "e");
+            post(5, 2, 200, "c");
+            post(5, 6, 150, "f");
+            post(5, 2, 250, "d");
+          });
+        },
+        [](SimTime, auto&) {});
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(r.logs[2], (std::vector<Delivery>{
+                             {200, "b"}, {200, "c"}, {250, "d"}, {300, "a"}}));
+    EXPECT_EQ(r.logs[6], (std::vector<Delivery>{{150, "f"}, {200, "e"}}));
+    for (const std::size_t quiet : {0u, 1u, 3u, 4u, 5u, 7u}) {
+      EXPECT_TRUE(r.logs[quiet].empty()) << "shard " << quiet;
+    }
+    EXPECT_EQ(r.posted, 6u);
+  }
+}
+
+TEST(ParallelEngineTest, DrainDeliversPostsMadeOnlyFromTheBarrierHook) {
+  // No shard posts; the first barrier hook stages four deliveries from
+  // three sources. They are injected by the second drain, are the only
+  // remaining work, and fire in (when, src, seq) order.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    bool fired = false;
+    const DrainRun r = run_drain(
+        threads, 4, 10'000,
+        [](auto& sims, auto&) {
+          for (auto& s : sims) s->schedule_at(10, [] {});
+        },
+        [&fired](SimTime end, auto& post) {
+          if (fired) return;
+          fired = true;
+          post(2, 1, end + 40, "h2a");
+          post(0, 1, end + 40, "h0a");
+          post(0, 1, end + 20, "h0b");
+          post(3, 1, end + 40, "h3a");
+        });
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const SimTime end = 10 + kLookahead;
+    EXPECT_EQ(r.logs[1], (std::vector<Delivery>{{end + 20, "h0b"},
+                                                {end + 40, "h0a"},
+                                                {end + 40, "h2a"},
+                                                {end + 40, "h3a"}}));
+    EXPECT_EQ(r.posted, 4u);
+    EXPECT_EQ(r.windows, 2u);
+  }
+}
+
+TEST(ParallelEngineTest, DrainDeliversAfterSeveralQuietWindows) {
+  // Shard 2 posts in the first window, stays quiet while shard 0's
+  // periodic keeps windows running, then posts again together with shard
+  // 1. Nothing is lost, nothing from the first drain is delivered twice.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const DrainRun r = run_drain(
+        threads, 3, 2'000,
+        [](auto& sims, auto& post) {
+          sims[0]->schedule_periodic(kLookahead, [] {});
+          sims[2]->schedule_at(5, [&post] {
+            post(2, 1, 5 + kLookahead, "early");
+          });
+          sims[2]->schedule_at(1'000, [&post] {
+            post(2, 1, 1'100, "late1");
+            post(2, 0, 1'150, "late0");
+            post(2, 1, 1'100, "late2");
+          });
+          sims[1]->schedule_at(1'000, [&post] { post(1, 0, 1'150, "from1"); });
+        },
+        [](SimTime, auto&) {});
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_GT(r.windows, 8u);  // quiet windows really ran in between
+    EXPECT_EQ(r.logs[1], (std::vector<Delivery>{{5 + kLookahead, "early"},
+                                                {1'100, "late1"},
+                                                {1'100, "late2"}}));
+    EXPECT_EQ(r.logs[0],
+              (std::vector<Delivery>{{1'150, "from1"}, {1'150, "late0"}}));
+    EXPECT_EQ(r.posted, 5u);
+  }
 }
 
 TEST(ParallelEngineTest, CrossShardChannelRejectsDropOldestBounded) {
