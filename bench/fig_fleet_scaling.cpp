@@ -10,9 +10,9 @@
 // the suppression counters, all reported in the trailing CSV columns.
 //
 // CSV layout contract (checked by CI):
-//   - columns 1-11 (nodes..makespan_s) are encoding-independent: a
+//   - columns 1-10 (nodes..makespan_s) are encoding-independent: a
 //     `--fleet-encoding delta` run and a `--fleet-encoding full` run md5
-//     to the same value after `cut -d, -f1-11`.
+//     to the same value after `cut -d, -f1-10`.
 //   - column 2 is sim_threads: runs at different --sim-threads md5 to the
 //     same value after `cut -d, -f2 --complement`.
 //   - wall-clock and the mm_decide_ns probe are printed to stdout only.
@@ -27,7 +27,6 @@
 //   --fleet-policy p         global-static | global-smart[:P]
 //   --fleet-encoding e       delta | full | both (default both)
 //   --fleet-resync n         delta resync cadence (default 16)
-//   --fleet-incremental      O(changed-VMs) MM decide path
 //   --fleet-no-lending       disable remote-tmem lending
 //   --fleet-lending-heavy    hot-node/cold-donor geometry (node 0 spills at
 //                            1.6x usable RAM, others fit at 0.55x) so the
@@ -49,9 +48,13 @@
 //                            fig_fleet_scaling.csv stays byte-identical.
 //   --trace-sample n         keep 1-in-n hot-path spans in the observed run
 //   --trace-out/--metrics-out/--audit-out f
-//                            one extra observed run (first cell geometry)
-//                            exporting the requested pillars; feed the
-//                            metrics file to obs_inspect.py fleet-report
+//                            one extra observed run (first delta cell, rep
+//                            0) exporting the requested pillars; feed the
+//                            metrics file to obs_inspect.py fleet-report.
+//                            With --csv its outcome row goes to
+//                            fleet_observed.csv, which must equal that
+//                            cell's rep-0 row except gm_clean_decides (an
+//                            audit turns the GM's clean-decide path off)
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -84,7 +87,6 @@ struct Options {
   std::string policy = "global-smart";
   std::string encoding = "both";  // delta | full | both
   std::uint64_t resync = 16;
-  bool incremental = false;
   bool lending = true;
   bool lending_heavy = false;
   bool async_lending = false;
@@ -109,7 +111,7 @@ void usage(std::FILE* out) {
       "  [--fleet-nodes n] [--fleet-vms n] [--fleet-skew f]\n"
       "  [--fleet-mix read-heavy|balanced|write-heavy]\n"
       "  [--fleet-policy p] [--fleet-encoding delta|full|both]\n"
-      "  [--fleet-resync n] [--fleet-incremental]\n"
+      "  [--fleet-resync n]\n"
       "  [--fleet-no-lending] [--fleet-lending-heavy] [--fleet-async-lending]\n"
       "  [--fleet-lend-cache n] [--fleet-lend-rtt-x f] [--fleet-lend-loss p]\n"
       "  [--fleet-lend-reorder p] [--fleet-lend-outage-from-s s]\n"
@@ -189,8 +191,6 @@ Options parse(int argc, char** argv) {
       }
     } else if (arg == "--fleet-resync") {
       o.resync = parse_u64("--fleet-resync", next(i), 1, 1u << 20);
-    } else if (arg == "--fleet-incremental") {
-      o.incremental = true;
     } else if (arg == "--fleet-no-lending") {
       o.lending = false;
     } else if (arg == "--fleet-lending-heavy") {
@@ -260,8 +260,8 @@ void apply_lending(const Options& o, cluster::FleetExperimentConfig& cfg) {
   }
 }
 
-cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
-                                 std::uint64_t seed) {
+cluster::FleetExperimentConfig cell_config(const Options& o, const Cell& cell,
+                                           std::uint64_t seed) {
   cluster::FleetExperimentConfig cfg;
   cfg.nodes = cell.nodes;
   cfg.vms_per_node = o.vms;
@@ -271,18 +271,58 @@ cluster::FleetRunResult run_cell(const Options& o, const Cell& cell,
   apply_lending(o, cfg);
   cfg.delta = cell.delta;
   cfg.resync_every = o.resync;
-  cfg.mm_incremental = o.incremental;
   cfg.scale = o.scale;
   cfg.seed = seed;
   cfg.sim_threads = o.sim_threads;
   cfg.profile = o.profile;
-  return cluster::run_fleet_scenario(cfg);
+  return cfg;
 }
 
 double per_interval(std::uint64_t bytes, std::uint64_t intervals) {
   return intervals == 0 ? 0.0
                         : static_cast<double>(bytes) /
                               static_cast<double>(intervals);
+}
+
+// Columns 1-10 are encoding-independent (delta-vs-full md5 cross-check cuts
+// to them); column 2 is sim_threads (thread-count check cuts it away);
+// everything encoding-dependent rides at the end.
+constexpr const char* kCsvHeader =
+    "nodes,sim_threads,vms_per_node,skew,mix,global_policy,"
+    "rep,failed_puts,puts_total,makespan_s,"
+    "encoding,puts_succ,node_control_bytes,rack_control_bytes,"
+    "mm_samples,node_bytes_per_interval,stats_full_sends,"
+    "targets_full_sends,rollups_suppressed,quota_sends_skipped,"
+    "gm_clean_decides,mm_incremental_decides,borrow_placements,"
+    "lending_failed_placements\n";
+
+void write_row(std::ostream& csv, const Options& o, const Cell& cell,
+               std::size_t rep, const cluster::FleetRunResult& r) {
+  char line[640];
+  std::snprintf(
+      line, sizeof line,
+      "%zu,%zu,%zu,%g,%s,%s,%zu,%llu,%llu,%.6f,"
+      "%s,%llu,%llu,%llu,%llu,%.3f,%llu,%llu,%llu,%llu,%llu,%llu,"
+      "%llu,%llu\n",
+      cell.nodes, o.sim_threads, o.vms, o.skew, workloads::to_string(o.mix),
+      o.policy.c_str(), rep,
+      static_cast<unsigned long long>(r.aggregate_failed_puts),
+      static_cast<unsigned long long>(r.puts_total), r.makespan_s,
+      cell.delta ? "delta" : "full",
+      static_cast<unsigned long long>(r.puts_succ),
+      static_cast<unsigned long long>(r.node_control_bytes),
+      static_cast<unsigned long long>(r.rack_control_bytes),
+      static_cast<unsigned long long>(r.mm_samples),
+      per_interval(r.node_control_bytes, r.mm_samples),
+      static_cast<unsigned long long>(r.stats_full_sends),
+      static_cast<unsigned long long>(r.targets_full_sends),
+      static_cast<unsigned long long>(r.rollups_suppressed),
+      static_cast<unsigned long long>(r.quota_sends_skipped),
+      static_cast<unsigned long long>(r.gm_clean_decides),
+      static_cast<unsigned long long>(r.mm_incremental_decides),
+      static_cast<unsigned long long>(r.borrow_placements),
+      static_cast<unsigned long long>(r.lending_failed_placements));
+  csv << line;
 }
 
 }  // namespace
@@ -305,10 +345,10 @@ int main(int argc, char** argv) {
   std::printf("=== fleet scaling: %zu tenants/node, skew %g, mix %s, %s ===\n",
               o.vms, o.skew, workloads::to_string(o.mix), o.policy.c_str());
   std::printf("%zu cell(s) x %zu rep(s), scale %g, resync %llu, "
-              "incremental %s, lending %s, sim-threads %zu\n\n",
+              "lending %s, sim-threads %zu\n\n",
               cells.size(), o.reps, o.scale,
               static_cast<unsigned long long>(o.resync),
-              o.incremental ? "on" : "off", o.lending ? "on" : "off",
+              o.lending ? "on" : "off",
               o.sim_threads);
 
   // Wall-clock and the decide-ns probe go to stdout only — the CSV must
@@ -317,7 +357,8 @@ int main(int argc, char** argv) {
   std::vector<double> wall(runs.size());
   parallel_for_each(o.jobs, runs.size(), [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
-    runs[i] = run_cell(o, cells[i / o.reps], o.seed + (i % o.reps));
+    runs[i] = cluster::run_fleet_scenario(
+        cell_config(o, cells[i / o.reps], o.seed + (i % o.reps)));
     wall[i] =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -451,45 +492,10 @@ int main(int argc, char** argv) {
   if (!o.csv_dir.empty()) {
     const std::string path = o.csv_dir + "/fig_fleet_scaling.csv";
     std::ofstream csv(path);
-    // Columns 1-11 are encoding-independent (delta-vs-full md5 cross-check
-    // cuts to them); column 2 is sim_threads (thread-count check cuts it
-    // away); everything encoding-dependent rides at the end.
-    csv << "nodes,sim_threads,vms_per_node,skew,mix,global_policy,"
-           "incremental,rep,failed_puts,puts_total,makespan_s,"
-           "encoding,puts_succ,node_control_bytes,rack_control_bytes,"
-           "mm_samples,node_bytes_per_interval,stats_full_sends,"
-           "targets_full_sends,rollups_suppressed,quota_sends_skipped,"
-           "gm_clean_decides,mm_incremental_decides,borrow_placements,"
-           "lending_failed_placements\n";
+    csv << kCsvHeader;
     for (std::size_t c = 0; c < cells.size(); ++c) {
       for (std::size_t rep = 0; rep < o.reps; ++rep) {
-        const cluster::FleetRunResult& r = runs[c * o.reps + rep];
-        char line[640];
-        std::snprintf(
-            line, sizeof line,
-            "%zu,%zu,%zu,%g,%s,%s,%d,%zu,%llu,%llu,%.6f,"
-            "%s,%llu,%llu,%llu,%llu,%.3f,%llu,%llu,%llu,%llu,%llu,%llu,"
-            "%llu,%llu\n",
-            cells[c].nodes, o.sim_threads, o.vms, o.skew,
-            workloads::to_string(o.mix), o.policy.c_str(),
-            o.incremental ? 1 : 0, rep,
-            static_cast<unsigned long long>(r.aggregate_failed_puts),
-            static_cast<unsigned long long>(r.puts_total), r.makespan_s,
-            cells[c].delta ? "delta" : "full",
-            static_cast<unsigned long long>(r.puts_succ),
-            static_cast<unsigned long long>(r.node_control_bytes),
-            static_cast<unsigned long long>(r.rack_control_bytes),
-            static_cast<unsigned long long>(r.mm_samples),
-            per_interval(r.node_control_bytes, r.mm_samples),
-            static_cast<unsigned long long>(r.stats_full_sends),
-            static_cast<unsigned long long>(r.targets_full_sends),
-            static_cast<unsigned long long>(r.rollups_suppressed),
-            static_cast<unsigned long long>(r.quota_sends_skipped),
-            static_cast<unsigned long long>(r.gm_clean_decides),
-            static_cast<unsigned long long>(r.mm_incremental_decides),
-            static_cast<unsigned long long>(r.borrow_placements),
-            static_cast<unsigned long long>(r.lending_failed_placements));
-        csv << line;
+        write_row(csv, o, cells[c], rep, runs[c * o.reps + rep]);
       }
     }
     std::printf("\nwrote %s\n", path.c_str());
@@ -585,20 +591,7 @@ int main(int argc, char** argv) {
     for (const Cell& c : cells) {
       if (c.delta) { cell = c; break; }
     }
-    cluster::FleetExperimentConfig cfg;
-    cfg.nodes = cell.nodes;
-    cfg.vms_per_node = o.vms;
-    cfg.skew = o.skew;
-    cfg.mix = o.mix;
-    cfg.global_policy = o.policy;
-    apply_lending(o, cfg);
-    cfg.delta = cell.delta;
-    cfg.resync_every = o.resync;
-    cfg.mm_incremental = o.incremental;
-    cfg.scale = o.scale;
-    cfg.seed = o.seed;
-    cfg.sim_threads = o.sim_threads;
-    cfg.profile = o.profile;
+    cluster::FleetExperimentConfig cfg = cell_config(o, cell, o.seed);
     cfg.obs.trace_out = o.trace_out;
     cfg.obs.metrics_out = o.metrics_out;
     cfg.obs.audit_out = o.audit_out;
@@ -606,7 +599,12 @@ int main(int argc, char** argv) {
     std::printf("\nobserved run: %zu nodes, %s encoding, trace-sample %llu\n",
                 cfg.nodes, cfg.delta ? "delta" : "full",
                 static_cast<unsigned long long>(o.trace_sample));
-    cluster::run_fleet_scenario(cfg);
+    const cluster::FleetRunResult observed = cluster::run_fleet_scenario(cfg);
+    if (!o.csv_dir.empty()) {
+      std::ofstream ocsv(o.csv_dir + "/fleet_observed.csv");
+      ocsv << kCsvHeader;
+      write_row(ocsv, o, cell, 0, observed);
+    }
     if (!o.trace_out.empty())
       std::printf("  trace:   %s\n", o.trace_out.c_str());
     if (!o.metrics_out.empty())

@@ -374,18 +374,13 @@ ControlBytes control_bytes_probe() {
   return out;
 }
 
-/// MM decide-time probe (DESIGN §12): ns per decision of smart-alloc over
-/// 1024 VMs when only ~16 change per interval — the classic O(n) compute()
-/// against the O(changed-VMs) decide_incremental() path. Both paths consume
-/// the same mutation schedule (a rotating window of VMs alternating demand
-/// spikes and slack); each folds its own outputs back into its sample so
-/// the streams stay self-consistent. Wall-clock, host-dependent.
-struct DecideProbe {
-  double classic_ns = 0.0;
-  double incremental_ns = 0.0;
-};
-
-DecideProbe mm_decide_probe() {
+/// MM decide-time probe (DESIGN §12): ns per smart-alloc compute() over
+/// 1024 VMs when only ~16 change per interval (a rotating window of VMs
+/// alternating demand spikes and slack); the outputs are folded back into
+/// the sample so the stream stays self-consistent. Reported under the
+/// JSON key mm_decide_ns_classic that earlier baselines use. Wall-clock,
+/// host-dependent.
+double mm_decide_probe() {
   constexpr std::size_t kVms = 1024;
   constexpr std::size_t kRounds = 1024;
   constexpr std::size_t kDirty = 8;
@@ -400,9 +395,9 @@ DecideProbe mm_decide_probe() {
     for (std::size_t i = 0; i < kVms; ++i) {
       s.vm[i].vm_id = static_cast<VmId>(i + 1);
       // Targets start at a quarter share: the occasional grows below fit
-      // inside the remaining headroom, so the Eq. 2 renormalization (an
-      // O(n) walk either way) stays out of the measured steady state and
-      // the probe isolates the few-changes regime.
+      // inside the remaining headroom, so the Eq. 2 renormalization stays
+      // out of the measured steady state and the probe isolates the
+      // few-changes regime.
       s.vm[i].mm_target = total / (4 * kVms);
       s.vm[i].tmem_used = total / (4 * kVms);
     }
@@ -414,16 +409,13 @@ DecideProbe mm_decide_probe() {
   // 16th round the first window VM fails its puts and earns a grow.
   // Entries touched the round before settle back (counters to zero), which
   // dirties them once more — exactly what a real sample stream does.
-  auto mutate = [&](hyper::MemStats& s, std::size_t round,
-                    std::vector<std::size_t>& dirty) {
-    dirty.clear();
+  auto mutate = [&](hyper::MemStats& s, std::size_t round) {
     if (round > 0) {
       for (std::size_t k = 0; k < kDirty; ++k) {
         const std::size_t i = ((round - 1) * kDirty + k) % kVms;
         s.vm[i].puts_total = 0;
         s.vm[i].puts_succ = 0;
         s.vm[i].tmem_used = s.vm[i].mm_target;
-        dirty.push_back(i);
       }
     }
     for (std::size_t k = 0; k < kDirty; ++k) {
@@ -437,10 +429,7 @@ DecideProbe mm_decide_probe() {
         vm.puts_total = 100;
         vm.puts_succ = 100;
       }
-      dirty.push_back(i);
     }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   };
 
   auto apply = [](hyper::MemStats& s, const hyper::MmOut& out) {
@@ -451,67 +440,26 @@ DecideProbe mm_decide_probe() {
     }
   };
 
-  DecideProbe probe;
-  const mm::SmartPolicyConfig pcfg{};  // defaults: P=0.75%, stale off
-
-  {  // classic full-vector compute()
-    mm::SmartPolicy policy(pcfg);
-    mm::StatsHistory history;
-    mm::PolicyContext ctx;
-    ctx.total_tmem = total;
-    ctx.history = &history;
-    hyper::MemStats s = make_stats();
-    std::vector<std::size_t> dirty;
-    std::uint64_t ns = 0;
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      mutate(s, r, dirty);
-      s.seq = r + 1;
-      history.record(s);
-      const auto start = Clock::now();
-      const hyper::MmOut out = policy.compute(s, ctx);
-      ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               start)
-              .count());
-      apply(s, out);
-    }
-    probe.classic_ns = static_cast<double>(ns) / kRounds;
+  mm::SmartPolicy policy(mm::SmartPolicyConfig{});  // P=0.75%, stale off
+  mm::StatsHistory history;
+  mm::PolicyContext ctx;
+  ctx.total_tmem = total;
+  ctx.history = &history;
+  hyper::MemStats s = make_stats();
+  std::uint64_t ns = 0;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    mutate(s, r);
+    s.seq = r + 1;
+    history.record(s);
+    const auto start = Clock::now();
+    const hyper::MmOut out = policy.compute(s, ctx);
+    ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count());
+    apply(s, out);
   }
-
-  {  // O(changed-VMs) decide_incremental()
-    mm::SmartPolicy policy(pcfg);
-    if (!policy.supports_incremental()) {
-      std::fprintf(stderr, "smart policy lost incremental support\n");
-      std::exit(1);
-    }
-    mm::StatsHistory history;
-    mm::PolicyContext ctx;
-    ctx.total_tmem = total;
-    ctx.history = &history;
-    hyper::MemStats s = make_stats();
-    std::vector<std::size_t> dirty;
-    std::vector<std::size_t> all(kVms);
-    for (std::size_t i = 0; i < kVms; ++i) all[i] = i;
-    std::uint64_t ns = 0;
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      mutate(s, r, dirty);
-      s.seq = r + 1;
-      history.record(s);
-      // Round 0 passes every index: the policy builds its materialized
-      // state from scratch, exactly as on a VM-set change.
-      const std::vector<std::size_t>& idx = r == 0 ? all : dirty;
-      const auto start = Clock::now();
-      const std::vector<hyper::MmTarget> out =
-          policy.decide_incremental(s, idx, ctx);
-      ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               start)
-              .count());
-      apply(s, out);
-    }
-    probe.incremental_ns = static_cast<double>(ns) / kRounds;
-  }
-  return probe;
+  return static_cast<double>(ns) / kRounds;
 }
 
 /// Observability overhead: seeded smart-policy runs of the SAME scenario-1
@@ -621,16 +569,13 @@ int main(int argc, char** argv) {
   const double rebalance_ps = cluster_rebalance_per_sec();
   std::printf("      cluster gm: %.3g rebalances/s (4 nodes)\n", rebalance_ps);
 
-  std::printf("[4/5] control plane (DESIGN 12: delta encoding, O(changed) decide)\n");
+  std::printf("[4/5] control plane (DESIGN 12: delta encoding, MM decide)\n");
   const ControlBytes cb = control_bytes_probe();
   std::printf("      uplink bytes/interval: full %.1f, delta %.1f (%.1fx)\n",
               cb.full_bpi, cb.delta_bpi,
               cb.delta_bpi > 0 ? cb.full_bpi / cb.delta_bpi : 0.0);
-  const DecideProbe dp = mm_decide_probe();
-  std::printf("      mm decide (1024 VMs, ~16 dirty): classic %.0f ns, "
-              "incremental %.0f ns (%.1fx)\n",
-              dp.classic_ns, dp.incremental_ns,
-              dp.incremental_ns > 0 ? dp.classic_ns / dp.incremental_ns : 0.0);
+  const double decide_ns = mm_decide_probe();
+  std::printf("      mm decide (1024 VMs, ~16 dirty): %.0f ns\n", decide_ns);
 
   std::printf("[5/5] observability overhead (all pillars, in-memory)\n");
   const ObsOverhead obs = obs_overhead(opts);
@@ -667,7 +612,6 @@ int main(int argc, char** argv) {
                 "  \"control_bytes_per_interval_full\": %.1f,\n"
                 "  \"control_bytes_per_interval_delta\": %.1f,\n"
                 "  \"mm_decide_ns_classic\": %.1f,\n"
-                "  \"mm_decide_ns_incremental\": %.1f,\n"
                 "  \"obs_overhead_pct\": %.2f,\n"
                 "  \"obs_overhead_spread_pct\": %.2f\n"
                 "}\n",
@@ -675,7 +619,7 @@ int main(int argc, char** argv) {
                 opts.jobs, opts.jobs, speedup,
                 speedup_reliable ? "true" : "false", store_eps, account_ns,
                 sim_eps, chan_mps, rebalance_ps, cb.full_bpi, cb.delta_bpi,
-                dp.classic_ns, dp.incremental_ns, obs.pct, obs.spread);
+                decide_ns, obs.pct, obs.spread);
   out << buf;
   std::printf("\nwrote %s\n", opts.out.c_str());
   return 0;

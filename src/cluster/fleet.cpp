@@ -80,7 +80,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
   core::NodeConfig base = core::scaled_node_defaults(cfg.scale);
   base.comm.delta.enabled = cfg.delta;
   base.comm.delta.resync_every = cfg.resync_every;
-  base.mm_incremental = cfg.mm_incremental;
 
   workloads::FleetWorkloadConfig fw;
   fw.tenants = cfg.nodes * cfg.vms_per_node;
@@ -165,7 +164,6 @@ FleetRunResult run_fleet_scenario(const FleetExperimentConfig& cfg) {
     if (const mm::MemoryManager* mgr = n.manager()) {
       out.mm_samples += mgr->samples_seen();
       out.mm_targets_sent += mgr->targets_sent();
-      out.mm_incremental_decides += mgr->incremental_decides();
       out.mm_decide_ns += mgr->decide_ns_total();
       out.mm_decides += mgr->decide_count();
       out.targets_full_sends += mgr->targets_full_sends();

@@ -61,8 +61,6 @@ struct FleetExperimentConfig {
   /// resync cadence. Off = classic full-vector messages.
   bool delta = false;
   std::uint64_t resync_every = 16;
-  /// O(changed-VMs) MM decision loop (independent of `delta`).
-  bool mm_incremental = false;
 
   /// Truncates the run at this simulated time when positive (tests: force
   /// a teardown while lending exchanges are still mid-flight). 0 = run to
@@ -97,6 +95,8 @@ struct FleetRunResult {
   std::uint64_t rack_control_bytes = 0;  // rack hops (roll-ups + quotas)
   std::uint64_t mm_samples = 0;          // samples delivered to the MMs
   std::uint64_t mm_targets_sent = 0;
+  /// Always 0: the MM has one decide path (DESIGN §12). Kept as a CSV
+  /// column and a gated outcome field so earlier outputs stay comparable.
   std::uint64_t mm_incremental_decides = 0;
   std::uint64_t mm_decide_ns = 0;  // wall clock — never in deterministic CSVs
   std::uint64_t mm_decides = 0;

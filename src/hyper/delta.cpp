@@ -50,9 +50,7 @@ MemStats StatsDeltaEncoder::encode(const MemStats& full) {
   return out;
 }
 
-bool StatsDeltaView::apply(const MemStats& msg,
-                           std::vector<std::size_t>& dirty_idx) {
-  dirty_idx.clear();
+bool StatsDeltaView::apply(const MemStats& msg) {
   if (msg.seq != 0 && msg.seq <= last_applied_seq_) {
     ++stale_drops_;
     return false;
@@ -82,53 +80,13 @@ bool StatsDeltaView::apply(const MemStats& msg,
         it = view_.vm.insert(it, e);
       }
     }
-    // Indices are resolved after every fold so an insert cannot invalidate
-    // earlier entries (inserts only happen on out-of-chain VM additions).
-    for (const VmMemStats& e : msg.vm) {
-      auto it = std::lower_bound(
-          view_.vm.begin(), view_.vm.end(), e.vm_id,
-          [](const VmMemStats& v, VmId id) { return v.vm_id < id; });
-      dirty_idx.push_back(static_cast<std::size_t>(it - view_.vm.begin()));
-    }
   } else {
-    if (view_.vm.size() == msg.vm.size()) {
-      for (std::size_t i = 0; i < msg.vm.size(); ++i) {
-        if (!(view_.vm[i] == msg.vm[i])) dirty_idx.push_back(i);
-      }
-    } else {
-      for (std::size_t i = 0; i < msg.vm.size(); ++i) dirty_idx.push_back(i);
-    }
     view_ = msg;
     view_.delta = false;
     view_.base_seq = 0;
   }
   if (msg.seq != 0) last_applied_seq_ = msg.seq;
   return true;
-}
-
-TargetsMsg TargetsDeltaEncoder::encode(std::uint64_t seq, const MmOut& full,
-                                       SimTime new_interval) {
-  const bool cadence_full =
-      cfg_.resync_every <= 1 || (sends_ % cfg_.resync_every) == 0;
-  ++sends_;
-  TargetsMsg out;
-  out.seq = seq;
-  out.new_interval = new_interval;
-  if (cadence_full || !same_id_set(last_, full)) {
-    out.targets = full;
-    out.delta = false;
-    out.base_seq = 0;
-    ++full_sends_;
-  } else {
-    out.delta = true;
-    out.base_seq = last_seq_;
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      if (!(full[i] == last_[i])) out.targets.push_back(full[i]);
-    }
-  }
-  last_ = full;
-  last_seq_ = seq;
-  return out;
 }
 
 }  // namespace smartmem::hyper

@@ -1,10 +1,11 @@
-// Delta codecs for the MemStats uplink and the TargetsMsg downlink
-// (DESIGN §12).
+// Delta codec for the MemStats uplink (DESIGN §12). The TargetsMsg
+// downlink is framed by the MemoryManager itself, from the changed targets
+// its policy reports.
 //
 // The full-vector control plane ships every per-VM entry every interval; at
 // fleet scale (hundreds of VMs per node) that dominates control-plane bytes
-// even though only a handful of VMs change between samples. These codecs
-// keep the *semantics* of the sequenced messages while sending only changed
+// even though only a handful of VMs change between samples. The codec
+// keeps the *semantics* of the sequenced messages while sending only changed
 // entries:
 //
 //  * the encoder diffs each outgoing snapshot against the last one it sent
@@ -15,10 +16,6 @@
 //    (lost, reordered or duplicated predecessor) drops the message WITHOUT
 //    advancing the applied seq — the invariant that makes loss degrade to
 //    "wait for the next resync", never to a fold onto the wrong base.
-//
-// The dirty indices the view reports per applied message are exactly the
-// entries that changed, which is what feeds the MM's O(changed-VMs)
-// decision loop.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +50,12 @@ class StatsDeltaEncoder {
 };
 
 /// Receiver side of the MemStats uplink (lives in the MemoryManager): a
-/// materialized snapshot plus the per-message dirty set.
+/// materialized snapshot.
 class StatsDeltaView {
  public:
-  /// Folds one message. Returns true and fills `dirty_idx` (indices into
-  /// view().vm that this message changed) when applied; false when dropped
+  /// Folds one message. Returns true when applied; false when dropped
   /// (stale seq or broken delta chain — the view is untouched).
-  bool apply(const MemStats& msg, std::vector<std::size_t>& dirty_idx);
+  bool apply(const MemStats& msg);
 
   const MemStats& view() const { return view_; }
   std::uint64_t last_applied_seq() const { return last_applied_seq_; }
@@ -71,34 +67,6 @@ class StatsDeltaView {
   std::uint64_t last_applied_seq_ = 0;
   std::uint64_t chain_breaks_ = 0;
   std::uint64_t stale_drops_ = 0;
-};
-
-/// Sender side of the TargetsMsg downlink (lives in the MemoryManager).
-/// The MM still computes a full MmOut per decision; the encoder turns it
-/// into the message to send. Pure interval updates (empty targets) bypass
-/// the codec but advance the chain — note_interval_send() keeps the base in
-/// step with the hypervisor's last applied seq.
-class TargetsDeltaEncoder {
- public:
-  explicit TargetsDeltaEncoder(comm::DeltaConfig cfg) : cfg_(cfg) {}
-
-  /// Encodes the full target vector `full` under sequence number `seq`.
-  TargetsMsg encode(std::uint64_t seq, const MmOut& full,
-                    SimTime new_interval);
-
-  /// Records an interval-only send (empty targets, delta=false) so the next
-  /// delta chains onto its seq.
-  void note_interval_send(std::uint64_t seq) { last_seq_ = seq; }
-
-  std::uint64_t sends() const { return sends_; }
-  std::uint64_t full_sends() const { return full_sends_; }
-
- private:
-  comm::DeltaConfig cfg_;
-  MmOut last_;              // target vector as of the previous send
-  std::uint64_t last_seq_ = 0;
-  std::uint64_t sends_ = 0;
-  std::uint64_t full_sends_ = 0;
 };
 
 }  // namespace smartmem::hyper

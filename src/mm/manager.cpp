@@ -30,13 +30,6 @@ MemoryManager::MemoryManager(PolicyPtr policy, PageCount total_tmem,
   if (config_.adaptive.enabled) {
     interval_ctl_.emplace(config_.adaptive, config_.sample_interval);
   }
-  if (config_.delta.enabled && !config_.incremental) {
-    // Classic compute + delta framing: the per-decision full vector is
-    // diffed against the last sent one by the encoder. The incremental
-    // path frames its own deltas (the policy already returns exactly the
-    // changed entries).
-    targets_encoder_.emplace(config_.delta);
-  }
 }
 
 void MemoryManager::attach_obs(obs::TraceRecorder* trace,
@@ -74,13 +67,12 @@ void MemoryManager::register_metrics(obs::Registry& reg) const {
   });
   reg.add_counter("mm.interval_msgs_sent", &interval_msgs_sent_);
   // Fleet-scale control plane (DESIGN §12): delta decode/encode health and
-  // the O(changed-VMs) decide counters. All flat when the features are off.
+  // the decide-time probe. Flat when delta encoding is off.
   metrics_attached_ = true;
   reg.add_histogram("mm.stats_age_intervals", &stats_age_hist_);
   reg.add_counter("mm.stats_chain_breaks",
                   [this] { return static_cast<double>(stats_chain_breaks()); });
   reg.add_counter("mm.targets_full_sends", &downlink_full_sends_);
-  reg.add_counter("mm.incremental_decides", &incremental_decides_);
   reg.add_counter("mm.decide_ns_total", &decide_ns_total_);
   reg.add_gauge("mm.sample_interval_s",
                 [this] { return to_seconds(current_interval()); });
@@ -140,16 +132,14 @@ void MemoryManager::on_stats(const hyper::MemStats& stats) {
     // message actually applies: a delta on a broken chain must stay
     // droppable without blocking its retransmitted predecessors.
   }
-  const bool materialize = config_.delta.enabled || config_.incremental;
-  if (!materialize) {
-    // Classic path, byte-identical to the full-vector control plane.
+  if (!config_.delta.enabled) {
     if (stats.seq != 0) last_sample_seq_ = stats.seq;
     ++samples_seen_;
     history_.record(stats);
-    process_sample(stats, nullptr);
+    process_sample(stats);
     return;
   }
-  if (!stats_view_.apply(stats, dirty_scratch_)) {
+  if (!stats_view_.apply(stats)) {
     // Broken delta chain: counted in the view, recovery is the TKM's next
     // full snapshot. (Stale seqs were already dropped above.)
     log::debug(kLogComp, "dropped delta memstats seq %llu: base %llu",
@@ -160,11 +150,10 @@ void MemoryManager::on_stats(const hyper::MemStats& stats) {
   if (stats.seq != 0) last_sample_seq_ = stats.seq;
   ++samples_seen_;
   history_.record(stats_view_.view());
-  process_sample(stats_view_.view(), &dirty_scratch_);
+  process_sample(stats_view_.view());
 }
 
-void MemoryManager::process_sample(const hyper::MemStats& stats,
-                                   const std::vector<std::size_t>* dirty) {
+void MemoryManager::process_sample(const hyper::MemStats& stats) {
   const SimTime now = clock_ ? clock_() : stats.when;
   last_stats_when_ = stats.when;
   // Normalize staleness by the interval in effect when *this* sample was
@@ -193,24 +182,13 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     ctx.audit = &scratch_;
   }
 
-  // O(changed-VMs) path: only with a dirty set, an incremental-capable
-  // policy, and no decision audit (audits need a verdict per VM anyway).
-  const bool use_inc = config_.incremental && dirty != nullptr &&
-                       audit_ == nullptr && policy_->supports_incremental();
-  hyper::MmOut out;
-  std::vector<hyper::MmTarget> changed;
   const auto decide_start = std::chrono::steady_clock::now();
-  if (use_inc) {
-    changed = policy_->decide_incremental(stats, *dirty, ctx);
-  } else {
-    out = policy_->compute(stats, ctx);
-  }
+  hyper::MmOut out = policy_->compute(stats, ctx);
   decide_ns_total_ += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - decide_start)
           .count());
   ++decide_count_;
-  if (use_inc) ++incremental_decides_;
 
   // Adaptive cadence: feed the controller this sample's pressure signal and
   // remember any interval change so it can ride the outgoing message (or a
@@ -242,48 +220,8 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     trace_->span(obs::kCatMm, mm_track_, "policy_decide", stats.when,
                  now - stats.when,
                  {{"seq", static_cast<double>(stats.seq)},
-                  {"targets", static_cast<double>(use_inc ? changed.size()
-                                                         : out.size())},
+                  {"targets", static_cast<double>(out.size())},
                   {"age_intervals", last_stats_age_}});
-  }
-
-  if (use_inc) {
-    // The policy returned exactly the targets that changed; empty means
-    // "identical vector", i.e. the suppression case, without ever
-    // comparing full vectors.
-    if (changed.empty()) {
-      if (!mat_out_.empty()) ++sends_suppressed_;
-      send_interval_update(interval_update);
-      return;
-    }
-    fold_materialized(changed);
-    ++targets_sent_;
-    if (!sender_) {
-      log::warn(kLogComp, "no sender attached; targets dropped");
-      return;
-    }
-    hyper::TargetsMsg msg;
-    msg.seq = ++next_send_seq_;
-    msg.new_interval = interval_update;
-    if (config_.delta.enabled) {
-      const bool full =
-          config_.delta.resync_every <= 1 ||
-          (downlink_sends_ % config_.delta.resync_every) == 0;
-      ++downlink_sends_;
-      if (full) {
-        msg.targets = mat_out_;
-        ++downlink_full_sends_;
-      } else {
-        msg.delta = true;
-        msg.base_seq = last_downlink_seq_;
-        msg.targets = std::move(changed);
-      }
-    } else {
-      msg.targets = mat_out_;
-    }
-    last_downlink_seq_ = msg.seq;
-    sender_(msg);
-    return;
   }
 
   obs::DecisionRecord record;
@@ -306,8 +244,17 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     return;
   }
 
+  // Diff against the last sent vector: a different VM set (`reset`) forces
+  // a full send; otherwise the entries that moved are the delta payload.
+  bool reset = out.size() != mat_out_.size();
+  changed_.clear();
+  for (std::size_t i = 0; !reset && i < out.size(); ++i) {
+    reset = out[i].vm_id != mat_out_[i].vm_id;
+    if (out[i].mm_target != mat_out_[i].mm_target) changed_.push_back(out[i]);
+  }
+
   // send_to_hypervisor(): skip transmission when nothing changed.
-  if (config_.suppress_unchanged && last_sent_ && *last_sent_ == out) {
+  if (config_.suppress_unchanged && !reset && changed_.empty()) {
     ++sends_suppressed_;
     if (auditing) {
       record.suppressed = true;
@@ -316,42 +263,39 @@ void MemoryManager::process_sample(const hyper::MemStats& stats,
     send_interval_update(interval_update);
     return;
   }
-  last_sent_ = out;
   ++targets_sent_;
   if (auditing) {
     record.sent = true;
     record.send_seq = next_send_seq_ + 1;
     audit_->append(std::move(record));
   }
-  if (sender_) {
-    if (targets_encoder_) {
-      hyper::TargetsMsg msg =
-          targets_encoder_->encode(++next_send_seq_, out, interval_update);
-      if (!msg.delta) ++downlink_full_sends_;
-      ++downlink_sends_;
-      last_downlink_seq_ = msg.seq;
-      sender_(msg);
-    } else {
-      sender_(hyper::TargetsMsg{++next_send_seq_, std::move(out),
-                                interval_update});
-    }
-  } else {
+  mat_out_ = std::move(out);
+  if (!sender_) {
     log::warn(kLogComp, "no sender attached; targets dropped");
+    return;
   }
-}
-
-void MemoryManager::fold_materialized(
-    const std::vector<hyper::MmTarget>& changed) {
-  for (const hyper::MmTarget& t : changed) {
-    auto it = std::lower_bound(
-        mat_out_.begin(), mat_out_.end(), t.vm_id,
-        [](const hyper::MmTarget& a, VmId id) { return a.vm_id < id; });
-    if (it != mat_out_.end() && it->vm_id == t.vm_id) {
-      it->mm_target = t.mm_target;
-    } else {
-      mat_out_.insert(it, t);
-    }
+  hyper::TargetsMsg msg;
+  msg.seq = ++next_send_seq_;
+  msg.new_interval = interval_update;
+  // Full on the resync cadence (counted per send) and after a VM-set
+  // change; otherwise only the entries that changed since the last send,
+  // chained onto the previous downlink seq.
+  const bool full = !config_.delta.enabled || reset ||
+                    config_.delta.resync_every <= 1 ||
+                    downlink_sends_ % config_.delta.resync_every == 0;
+  if (config_.delta.enabled) {
+    ++downlink_sends_;
+    if (full) ++downlink_full_sends_;
   }
+  if (full) {
+    msg.targets = mat_out_;
+  } else {
+    msg.delta = true;
+    msg.base_seq = last_downlink_seq_;
+    msg.targets = changed_;
+  }
+  last_downlink_seq_ = msg.seq;
+  sender_(msg);
 }
 
 void MemoryManager::send_interval_update(SimTime interval) {
@@ -365,12 +309,10 @@ void MemoryManager::send_interval_update(SimTime interval) {
   }
   ++interval_msgs_sent_;
   // Interval-only messages are always full-framed (no entries to delta),
-  // but they advance the downlink seq, so both delta framers must chain
-  // their next delta onto this seq — the hypervisor's last applied seq
-  // moves when this message lands.
+  // but they advance the downlink seq, so the next delta must chain onto
+  // this seq — the hypervisor's last applied seq moves when it lands.
   sender_(hyper::TargetsMsg{++next_send_seq_, {}, interval});
   last_downlink_seq_ = next_send_seq_;
-  if (targets_encoder_) targets_encoder_->note_interval_send(next_send_seq_);
 }
 
 }  // namespace smartmem::mm

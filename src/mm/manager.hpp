@@ -3,8 +3,9 @@
 // The MM runs in Xen's privileged domain. Once per sampling interval it
 // receives a memstats sample from the TKM (netlink in the real system),
 // records it into its history, runs the configured high-level policy and —
-// only if the resulting target vector differs from the last one sent —
-// forwards it back to the hypervisor through the TKM
+// only if some target changed since the last send — forwards the vector
+// (or, with delta encoding, just the changed entries) back to the
+// hypervisor through the TKM
 // ("send_to_hypervisor ... If no changes are detected, then no transmission
 //  takes place, avoiding unnecessary communication overhead").
 #pragma once
@@ -44,20 +45,12 @@ struct ManagerConfig {
   /// paper's fixed cadence, byte-identical message stream).
   IntervalControllerConfig adaptive;
 
-  /// Delta-encoded control messages (DESIGN §12): decode the uplink's
-  /// MemStats deltas into a materialized view and encode outgoing
-  /// TargetsMsgs as changed-entries-only with periodic full resyncs.
-  /// Mirrored from CommConfig::delta by the node wiring so both endpoints
-  /// of each hop agree. Off by default (classic full-vector path,
-  /// byte-identical).
+  /// Delta-encoded control messages (DESIGN §12): accept MemStats deltas
+  /// on the uplink and frame outgoing TargetsMsgs as changed-entries-only
+  /// with periodic full resyncs. Mirrored from CommConfig::delta by the
+  /// node wiring so both endpoints of each hop agree. Off by default
+  /// (every send carries the full vector).
   comm::DeltaConfig delta;
-
-  /// O(changed-VMs) decision loop: feed the policy the dirty set from the
-  /// incoming stat deltas (or from diffing consecutive full samples) and
-  /// let it update its decision incrementally. Requires a policy with
-  /// supports_incremental(); falls back to the classic full recompute
-  /// otherwise or while a decision audit is attached. Off by default.
-  bool incremental = false;
 };
 
 class MemoryManager {
@@ -89,13 +82,11 @@ class MemoryManager {
     return stale_samples_dropped_;
   }
   std::uint64_t last_sample_seq() const { return last_sample_seq_; }
-  /// Last transmitted target vector. Classic path only; on the incremental
-  /// path the materialized equivalent is materialized_targets().
-  const std::optional<hyper::MmOut>& last_sent() const { return last_sent_; }
 
   // ---- Fleet-scale control plane (DESIGN §12) ------------------------------
 
-  /// Materialized target state on the incremental path (empty otherwise).
+  /// The target vector last sent to the hypervisor, in vm_id order (empty
+  /// before the first send).
   const hyper::MmOut& materialized_targets() const { return mat_out_; }
   /// Uplink delta messages dropped on a broken chain / stale seq inside the
   /// materialized view (0 when delta decoding is off).
@@ -104,8 +95,6 @@ class MemoryManager {
   }
   /// Downlink target sends that carried a full snapshot (delta mode only).
   std::uint64_t targets_full_sends() const { return downlink_full_sends_; }
-  /// Decisions taken through the O(changed-VMs) path.
-  std::uint64_t incremental_decides() const { return incremental_decides_; }
   /// Wall-clock nanoseconds spent inside policy decides, and their count —
   /// the mm_decide_ns probe. Never fed back into the simulation.
   std::uint64_t decide_ns_total() const { return decide_ns_total_; }
@@ -167,23 +156,15 @@ class MemoryManager {
   /// `interval` is 0.
   void send_interval_update(SimTime interval);
 
-  /// Everything after uplink decode: history, staleness, policy decide,
-  /// adaptive cadence, audit, suppression and the downlink send. `dirty`
-  /// indexes stats.vm entries changed since the previous sample (nullptr on
-  /// the classic path).
-  void process_sample(const hyper::MemStats& stats,
-                      const std::vector<std::size_t>* dirty);
-
-  /// Folds a changed-targets list into the materialized output vector
-  /// (sorted by vm_id).
-  void fold_materialized(const std::vector<hyper::MmTarget>& changed);
+  /// Everything after uplink decode: staleness, policy decide, adaptive
+  /// cadence, audit, suppression and the (full or delta) downlink send.
+  void process_sample(const hyper::MemStats& stats);
 
   PolicyPtr policy_;
   PageCount total_tmem_;
   ManagerConfig config_;
   StatsHistory history_;
   TargetSender sender_;
-  std::optional<hyper::MmOut> last_sent_;
   std::uint64_t samples_seen_ = 0;
   std::uint64_t targets_sent_ = 0;
   std::uint64_t sends_suppressed_ = 0;
@@ -209,20 +190,15 @@ class MemoryManager {
   std::uint64_t interval_msgs_sent_ = 0;
 
   // ---- Fleet-scale control plane (DESIGN §12) ------------------------------
-  // Uplink decode: materialized sample + per-message dirty set. Active when
-  // delta decoding or the incremental decide path needs a dirty set (full
-  // samples are diffed through the same view).
+  // Uplink decode: materialized sample (delta encoding only).
   hyper::StatsDeltaView stats_view_;
-  std::vector<std::size_t> dirty_scratch_;
-  // Downlink encode (classic compute + delta framing).
-  std::optional<hyper::TargetsDeltaEncoder> targets_encoder_;
-  // Incremental path: materialized target state + manual delta framing
-  // (sublinear in steady state — no full-vector diff per send).
+  // Downlink: the last sent vector, and the entries of the current output
+  // that differ from it (the payload of a delta frame).
   hyper::MmOut mat_out_;
+  hyper::MmOut changed_;
   std::uint64_t downlink_sends_ = 0;
   std::uint64_t downlink_full_sends_ = 0;
   std::uint64_t last_downlink_seq_ = 0;
-  std::uint64_t incremental_decides_ = 0;
   std::uint64_t decide_ns_total_ = 0;
   std::uint64_t decide_count_ = 0;
 };

@@ -1,4 +1,5 @@
-// Property tests for the DESIGN §12 delta codecs: a receiver that folds
+// Property tests for the DESIGN §12 delta codecs (the MemStats codec and
+// the MemoryManager's TargetsMsg framing): a receiver that folds
 // delta-encoded control messages must be byte-equal to one fed the full
 // vectors — exactly when no messages are lost, and within one resync
 // cadence of recovery when the channel loses, reorders or duplicates.
@@ -8,17 +9,65 @@
 
 #include <cstddef>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "hyper/delta.hpp"
 #include "hyper/hypervisor.hpp"
 #include "hyper/memstats.hpp"
+#include "mm/manager.hpp"
 
 namespace smartmem::hyper {
 namespace {
 
 constexpr std::size_t kVms = 12;
+
+/// Emits whatever target vector the test scripts next.
+class ScriptedPolicy final : public mm::Policy {
+ public:
+  explicit ScriptedPolicy(const MmOut& next) : next_(next) {}
+  std::string name() const override { return "scripted"; }
+  MmOut compute(const MemStats&, const mm::PolicyContext&) override {
+    return next_;
+  }
+
+ private:
+  const MmOut& next_;
+};
+
+/// A MemoryManager with delta-framed downlink whose policy emits `full`;
+/// decide() runs one sample and every send lands in `wire`.
+struct ScriptedManager {
+  ScriptedManager(comm::DeltaConfig cfg, MmOut init)
+      : full(std::move(init)),
+        mm(std::make_unique<ScriptedPolicy>(full), 1u << 16, config(cfg)) {
+    mm.set_sender([this](const TargetsMsg& msg) { wire.push_back(msg); });
+  }
+
+  static mm::ManagerConfig config(comm::DeltaConfig delta) {
+    mm::ManagerConfig cfg;
+    cfg.delta = delta;
+    return cfg;
+  }
+
+  void decide() {
+    MemStats s;
+    s.seq = ++samples;
+    for (const MmTarget& t : full) {
+      VmMemStats vm;
+      vm.vm_id = t.vm_id;
+      s.vm.push_back(vm);
+    }
+    mm.on_stats(s);
+  }
+
+  MmOut full;
+  std::vector<TargetsMsg> wire;
+  mm::MemoryManager mm;
+  std::uint64_t samples = 0;
+};
 
 /// Header-and-entries equality, ignoring the delta framing fields (a
 /// materialized view never carries them).
@@ -70,7 +119,6 @@ TEST(StatsDeltaProperty, LosslessChannelIsByteEqualEveryStep) {
   Rng rng(7);
 
   MemStats s = initial_stats();
-  std::vector<std::size_t> dirty_idx;
   std::uint64_t delta_sends = 0;
   for (std::uint64_t seq = 1; seq <= 200; ++seq) {
     churn(rng, s);
@@ -81,11 +129,8 @@ TEST(StatsDeltaProperty, LosslessChannelIsByteEqualEveryStep) {
       // The whole point: a delta must be smaller than the full vector.
       ASSERT_LT(wire_size(msg), wire_size(s));
     }
-    ASSERT_TRUE(view.apply(msg, dirty_idx));
+    ASSERT_TRUE(view.apply(msg));
     expect_stats_equal(view.view(), s);
-    // The dirty indices the view reports are exactly the entries this
-    // message changed — the MM's O(changed-VMs) feed.
-    for (const std::size_t idx : dirty_idx) ASSERT_LT(idx, view.view().vm.size());
   }
   EXPECT_EQ(view.chain_breaks(), 0u);
   EXPECT_GT(delta_sends, 0u);
@@ -103,12 +148,11 @@ TEST(StatsDeltaProperty, DeltaViewMatchesFullVectorView) {
   Rng rng(11);
 
   MemStats s = initial_stats();
-  std::vector<std::size_t> scratch;
   for (std::uint64_t seq = 1; seq <= 150; ++seq) {
     churn(rng, s);
     s.seq = seq;
-    ASSERT_TRUE(delta_view.apply(enc.encode(s), scratch));
-    ASSERT_TRUE(full_view.apply(s, scratch));
+    ASSERT_TRUE(delta_view.apply(enc.encode(s)));
+    ASSERT_TRUE(full_view.apply(s));
     expect_stats_equal(delta_view.view(), full_view.view());
   }
 }
@@ -147,10 +191,9 @@ TEST(StatsDeltaProperty, LossReorderDuplicationNeverDiverges) {
       if (roll < 4) delivered.push_back(wire[i]);  // duplicated
     }
 
-    std::vector<std::size_t> dirty_idx;
     std::uint64_t applied = 0;
     for (const MemStats& msg : delivered) {
-      if (view.apply(msg, dirty_idx)) {
+      if (view.apply(msg)) {
         ++applied;
         // THE invariant: an applied message always reproduces the sender's
         // snapshot at that seq, faults or no faults. Loss shows up as
@@ -166,7 +209,7 @@ TEST(StatsDeltaProperty, LossReorderDuplicationNeverDiverges) {
     for (std::uint64_t seq = 121; seq <= 121 + cfg.resync_every; ++seq) {
       churn(rng, s);
       s.seq = seq;
-      view.apply(enc.encode(s), dirty_idx);
+      view.apply(enc.encode(s));
       truth[seq] = s;
     }
     expect_stats_equal(view.view(), truth.at(121 + cfg.resync_every));
@@ -178,29 +221,32 @@ TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
     comm::DeltaConfig cfg;
     cfg.enabled = true;
     cfg.resync_every = 6;
-    TargetsDeltaEncoder enc(cfg);
     Rng rng(100 + seed);
 
     sim::Simulator sim;
     HypervisorConfig hcfg;
     hcfg.total_tmem_pages = 1u << 16;
     Hypervisor hyp(sim, hcfg);
-    MmOut full;
+    MmOut init;
     for (VmId vm = 1; vm <= 8; ++vm) {
       hyp.register_vm(vm);
-      full.push_back({vm, 1000});
+      init.push_back({vm, 1000});
     }
+    ScriptedManager mgr(cfg, init);
+    MmOut& full = mgr.full;
 
-    std::vector<TargetsMsg> wire;
+    // The MM's full vector at every seq it sent.
     std::map<std::uint64_t, MmOut> truth;
-    for (std::uint64_t seq = 1; seq <= 100; ++seq) {
+    for (int round = 0; round < 100; ++round) {
       const std::size_t dirty = 1 + rng.uniform(2);
       for (std::size_t k = 0; k < dirty; ++k) {
         full[rng.uniform(full.size())].mm_target = rng.uniform(1u << 16);
       }
-      wire.push_back(enc.encode(seq, full, 0));
-      truth[seq] = full;
+      mgr.decide();
+      truth[mgr.wire.back().seq] = full;
     }
+    ASSERT_GT(mgr.mm.targets_full_sends(), 1u);
+    ASSERT_LT(mgr.mm.targets_full_sends(), mgr.wire.size());
 
     // The hypervisor's materialized targets must equal the MM's full
     // vector at whatever seq the hypervisor last applied.
@@ -213,6 +259,7 @@ TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
             << "seed " << seed << " seq " << hyp.last_target_seq();
       }
     };
+    const std::vector<TargetsMsg> wire = mgr.wire;
     for (std::size_t i = 0; i < wire.size(); ++i) {
       const std::uint64_t roll = rng.uniform(10);
       if (roll < 2) continue;  // lost
@@ -228,11 +275,12 @@ TEST(TargetsDeltaProperty, HypervisorFoldMatchesTruthUnderFaults) {
 
     // Heal the channel: within one resync cadence the hypervisor holds the
     // newest vector.
-    for (std::uint64_t seq = 101; seq <= 101 + cfg.resync_every; ++seq) {
+    for (std::uint64_t k = 0; k <= cfg.resync_every; ++k) {
       full[rng.uniform(full.size())].mm_target = rng.uniform(1u << 16);
-      hyp.apply_targets(enc.encode(seq, full, 0));
+      mgr.decide();
+      hyp.apply_targets(mgr.wire.back());
     }
-    EXPECT_EQ(hyp.last_target_seq(), 101 + cfg.resync_every);
+    EXPECT_EQ(hyp.last_target_seq(), mgr.wire.back().seq);
     for (const MmTarget& t : full) {
       EXPECT_EQ(hyp.target(t.vm_id), t.mm_target) << "seed " << seed;
     }
@@ -243,7 +291,7 @@ TEST(TargetsDeltaProperty, ChainBreakDropsWithoutAdvancingSeq) {
   comm::DeltaConfig cfg;
   cfg.enabled = true;
   cfg.resync_every = 100;  // no resync inside the test window
-  TargetsDeltaEncoder enc(cfg);
+  ScriptedManager mgr(cfg, {{1, 100}, {2, 100}});
 
   sim::Simulator sim;
   HypervisorConfig hcfg;
@@ -252,17 +300,19 @@ TEST(TargetsDeltaProperty, ChainBreakDropsWithoutAdvancingSeq) {
   hyp.register_vm(1);
   hyp.register_vm(2);
 
-  MmOut full = {{1, 100}, {2, 100}};
-  hyp.apply_targets(enc.encode(1, full, 0));  // first send: full
+  mgr.decide();
+  hyp.apply_targets(mgr.wire.at(0));  // first send: full
   ASSERT_EQ(hyp.last_target_seq(), 1u);
 
-  full[0].mm_target = 200;
-  const TargetsMsg lost = enc.encode(2, full, 0);  // delta, never delivered
-  ASSERT_TRUE(lost.delta);
+  mgr.full[0].mm_target = 200;
+  mgr.decide();  // delta, never delivered
+  ASSERT_TRUE(mgr.wire.at(1).delta);
 
-  full[1].mm_target = 300;
-  const TargetsMsg after = enc.encode(3, full, 0);  // chains onto seq 2
+  mgr.full[1].mm_target = 300;
+  mgr.decide();  // chains onto seq 2
+  const TargetsMsg& after = mgr.wire.at(2);
   ASSERT_TRUE(after.delta);
+  ASSERT_EQ(after.base_seq, 2u);
   hyp.apply_targets(after);
 
   // Dropped whole: no partial fold, no seq advance, counted as a break.

@@ -1,18 +1,21 @@
-// Property sweep over the O(changed-VMs) smart-alloc engine (DESIGN §12):
-// for any stream of samples in which only a dirty subset changes per round,
-// decide_incremental() folded onto the previous output must land on exactly
-// the targets compute() derives from the full vector — including through
-// Eq. 2 renormalization rounds and VM-set changes — and the folded output
-// must keep the Eq. 1/2 sum invariant.
+// Property sweep over the MemoryManager's incremental (delta) downlink
+// (DESIGN §12): for any stream of samples driving smart-alloc — through
+// Eq. 2 renormalization rounds, node-capacity changes and VM arrivals —
+// folding the messages the MM sends must land on exactly the vector
+// compute() derives for that sample and keep the Eq. 1/2 sum invariant;
+// every entry of a delta frame must differ from the state it folds onto
+// (the MM sends only what moved); a VM-set change must go out as a full
+// snapshot; and a round in which no target moves sends nothing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "mm/history.hpp"
+#include "mm/manager.hpp"
 #include "mm/smart_policy.hpp"
 
 namespace smartmem::mm {
@@ -22,30 +25,43 @@ struct SweepParams {
   double p_percent;
   PageCount total_tmem;
   std::uint64_t seed;
+  /// When non-zero, the sampled capacity alternates between total_tmem and
+  /// this every 40 rounds (a node quota landing mid-run).
+  PageCount alt_total = 0;
+};
+
+/// A MemoryManager with delta framing and no periodic resync, so every send
+/// after the first is a delta unless the VM set changed.
+struct DeltaManager {
+  explicit DeltaManager(const SmartPolicyConfig& cfg, PageCount total)
+      : mm(std::make_unique<SmartPolicy>(cfg), total, config()) {
+    mm.set_sender([this](const hyper::TargetsMsg& m) { sent.push_back(m); });
+  }
+  static ManagerConfig config() {
+    ManagerConfig c;
+    c.delta.enabled = true;
+    c.delta.resync_every = 1u << 20;
+    return c;
+  }
+  MemoryManager mm;
+  std::vector<hyper::TargetsMsg> sent;
 };
 
 class IncrementalSweep : public ::testing::TestWithParam<SweepParams> {};
 
-TEST_P(IncrementalSweep, MatchesClassicComputeExactly) {
-  const auto [p, total, seed] = GetParam();
-  SmartPolicy classic(SmartPolicyConfig{p, 0});
-  SmartPolicy incremental(SmartPolicyConfig{p, 0});
-  ASSERT_TRUE(incremental.supports_incremental());
-
-  StatsHistory classic_hist;
-  StatsHistory inc_hist;
-  PolicyContext classic_ctx;
-  classic_ctx.total_tmem = total;
-  classic_ctx.history = &classic_hist;
-  PolicyContext inc_ctx;
-  inc_ctx.total_tmem = total;
-  inc_ctx.history = &inc_hist;
+TEST_P(IncrementalSweep, FoldedSendsMatchComputeExactly) {
+  const auto [p, base_total, seed, alt_total] = GetParam();
+  PageCount total = base_total;
+  DeltaManager mgr(SmartPolicyConfig{p, 0}, total);
+  SmartPolicy oracle(SmartPolicyConfig{p, 0});
+  StatsHistory oracle_hist;
+  PolicyContext ctx;
+  ctx.history = &oracle_hist;
 
   Rng rng(seed);
   constexpr std::size_t kBaseVms = 16;
 
   hyper::MemStats s;
-  s.total_tmem = total;
   for (std::size_t i = 0; i < kBaseVms; ++i) {
     hyper::VmMemStats vm;
     vm.vm_id = static_cast<VmId>(i + 1);
@@ -53,66 +69,63 @@ TEST_P(IncrementalSweep, MatchesClassicComputeExactly) {
     vm.tmem_used = total / kBaseVms;
     s.vm.push_back(vm);
   }
-  s.vm_count = static_cast<std::uint32_t>(s.vm.size());
 
-  // The incremental path's folded view of the targets.
+  // The hypervisor's view of the targets: every message folded in order.
   std::map<VmId, PageCount> folded;
-
-  bool vm_set_changed = true;  // first round: everything is dirty
-  // Entries whose mm_target the previous round's decision rewrote: the
-  // hypervisor applies them, so the next sample reports them changed and
-  // the delta view marks them dirty.
-  std::vector<std::size_t> carry;
   for (int round = 0; round < 400; ++round) {
-    // Mutate a small random subset; occasionally add a VM (sorted insert)
-    // to exercise the VM-set invalidation path.
-    std::vector<std::size_t> dirty = carry;
+    if (alt_total != 0 && round % 40 == 20) {
+      total = total == base_total ? alt_total : base_total;
+    }
+    const bool set_change = round == 0 || round == 150 || round == 300;
     if (round == 150 || round == 300) {
       hyper::VmMemStats vm;
       vm.vm_id = static_cast<VmId>(100 + round);
       vm.tmem_used = rng.uniform(total / kBaseVms);
       s.vm.push_back(vm);
-      s.vm_count = static_cast<std::uint32_t>(s.vm.size());
-      vm_set_changed = true;
     }
     const std::size_t n_dirty = 1 + rng.uniform(3);
     for (std::size_t k = 0; k < n_dirty; ++k) {
-      const std::size_t i = rng.uniform(s.vm.size());
-      auto& vm = s.vm[i];
+      auto& vm = s.vm[rng.uniform(s.vm.size())];
       vm.puts_total = rng.uniform(200);
       vm.puts_succ = vm.puts_total - rng.uniform(vm.puts_total + 1);
       vm.cumul_puts_failed += vm.puts_total - vm.puts_succ;
       vm.tmem_used = rng.uniform(total + 1);
-      dirty.push_back(i);
     }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    if (vm_set_changed) {
-      dirty.resize(s.vm.size());
-      for (std::size_t i = 0; i < s.vm.size(); ++i) dirty[i] = i;
-      vm_set_changed = false;
-    }
+    s.total_tmem = total;
+    s.vm_count = static_cast<std::uint32_t>(s.vm.size());
     s.seq = static_cast<std::uint64_t>(round) + 1;
 
-    // Classic: full-vector compute.
-    classic_hist.record(s);
-    const hyper::MmOut want = classic.compute(s, classic_ctx);
+    const std::size_t before = mgr.sent.size();
+    mgr.mm.on_stats(s);
+    oracle_hist.record(s);
+    ctx.total_tmem = total;
+    const hyper::MmOut want = oracle.compute(s, ctx);
 
-    // Incremental: fold only the changed targets.
-    inc_hist.record(s);
-    const std::vector<hyper::MmTarget> changed =
-        incremental.decide_incremental(s, dirty, inc_ctx);
-    for (const auto& t : changed) folded[t.vm_id] = t.mm_target;
+    ASSERT_LE(mgr.sent.size(), before + 1) << "round " << round;
+    if (set_change) {
+      ASSERT_EQ(mgr.sent.size(), before + 1) << "round " << round;
+    }
+    if (mgr.sent.size() > before) {
+      const hyper::TargetsMsg& msg = mgr.sent.back();
+      ASSERT_EQ(msg.delta, !set_change) << "round " << round;
+      if (!msg.delta) folded.clear();
+      for (const auto& t : msg.targets) {
+        // Minimality: every entry of a delta frame moved.
+        if (msg.delta) {
+          ASSERT_NE(folded.at(t.vm_id), t.mm_target)
+              << "round " << round << " vm " << t.vm_id << " (p=" << p << ")";
+        }
+        folded[t.vm_id] = t.mm_target;
+      }
+    }
 
-    // Exact equality, round for round: suppression (empty `changed`) is
-    // only correct because the folded state already equals compute().
+    // Exact equality, round for round: sending nothing is only correct
+    // because the folded state already equals compute().
     ASSERT_EQ(want.size(), s.vm.size()) << "round " << round;
+    ASSERT_EQ(folded.size(), want.size()) << "round " << round;
     PageCount sum = 0;
     for (const auto& t : want) {
-      const auto it = folded.find(t.vm_id);
-      const PageCount got =
-          it != folded.end() ? it->second : hyper::VmMemStats{}.mm_target;
-      ASSERT_EQ(got, t.mm_target)
+      ASSERT_EQ(folded.at(t.vm_id), t.mm_target)
           << "round " << round << " vm " << t.vm_id << " (p=" << p << ")";
       sum += t.mm_target;
       ASSERT_LE(t.mm_target, total);
@@ -120,19 +133,14 @@ TEST_P(IncrementalSweep, MatchesClassicComputeExactly) {
     // Eq. 1/2: one page of floor-rounding slack per VM.
     ASSERT_LE(sum, total + s.vm.size()) << "round " << round;
 
-    // Both streams see the applied targets as the next round's state; any
-    // entry the application changed is dirty in the next sample.
-    carry.clear();
+    // The hypervisor applies the targets; the next sample reports them.
     for (const auto& t : want) {
-      for (std::size_t i = 0; i < s.vm.size(); ++i) {
-        if (s.vm[i].vm_id != t.vm_id) continue;
-        if (s.vm[i].mm_target != t.mm_target) {
-          s.vm[i].mm_target = t.mm_target;
-          carry.push_back(i);
-        }
+      for (auto& vm : s.vm) {
+        if (vm.vm_id == t.vm_id) vm.mm_target = t.mm_target;
       }
     }
   }
+  EXPECT_EQ(mgr.mm.targets_full_sends(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,33 +149,31 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParams{0.75, 1u << 18, 2},
                       SweepParams{2.0, 1u << 20, 3},
                       SweepParams{6.0, 100000, 4},
-                      SweepParams{0.75, 12345, 5}));
+                      SweepParams{0.75, 12345, 5},
+                      SweepParams{0.75, 1u << 18, 6, 3u << 16},
+                      SweepParams{2.0, 100000, 7, 150000},
+                      SweepParams{6.0, 1u << 16, 8, 1u << 15}));
 
-// Suppression correctness in isolation: rounds in which nothing decision-
-// relevant changes must return an empty vector (the MM sends nothing), and
-// the folded state must still track compute().
-TEST(IncrementalSuppression, QuietRoundsReturnEmpty) {
-  SmartPolicy policy(SmartPolicyConfig{});
-  StatsHistory hist;
-  PolicyContext ctx;
-  ctx.total_tmem = 1u << 16;
-  ctx.history = &hist;
+// Suppression in isolation: rounds in which nothing decision-relevant
+// changes send nothing.
+TEST(IncrementalSuppression, QuietRoundsSendNothing) {
+  constexpr PageCount kTotal = 1u << 16;
+  DeltaManager mgr(SmartPolicyConfig{}, kTotal);
 
   hyper::MemStats s;
-  s.total_tmem = ctx.total_tmem;
+  s.total_tmem = kTotal;
   for (VmId vm = 1; vm <= 4; ++vm) {
     hyper::VmMemStats v;
     v.vm_id = vm;
-    v.mm_target = ctx.total_tmem / 4;
-    v.tmem_used = ctx.total_tmem / 4;
+    v.mm_target = kTotal / 4;
+    v.tmem_used = kTotal / 4;
     s.vm.push_back(v);
   }
   s.vm_count = 4;
-
-  std::vector<std::size_t> all = {0, 1, 2, 3};
   s.seq = 1;
-  hist.record(s);
-  policy.decide_incremental(s, all, ctx);
+  mgr.mm.on_stats(s);
+  ASSERT_EQ(mgr.sent.size(), 1u);
+  EXPECT_FALSE(mgr.sent[0].delta);
 
   // Counter churn that trips no Algorithm 4 condition: successful puts,
   // usage pinned to the target.
@@ -175,11 +181,10 @@ TEST(IncrementalSuppression, QuietRoundsReturnEmpty) {
     s.vm[static_cast<std::size_t>(round) % 4].puts_total += 10;
     s.vm[static_cast<std::size_t>(round) % 4].puts_succ += 10;
     s.seq = static_cast<std::uint64_t>(round);
-    hist.record(s);
-    const auto out = policy.decide_incremental(
-        s, {static_cast<std::size_t>(round) % 4}, ctx);
-    EXPECT_TRUE(out.empty()) << "round " << round;
+    mgr.mm.on_stats(s);
+    EXPECT_EQ(mgr.sent.size(), 1u) << "round " << round;
   }
+  EXPECT_EQ(mgr.mm.sends_suppressed(), 19u);
 }
 
 }  // namespace

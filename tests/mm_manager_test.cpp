@@ -146,13 +146,17 @@ TEST(ManagerTest, HistoryEvictsExactlyAtDepthBoundary) {
   EXPECT_FALSE(mm.history().nth_last(1, kDepth).has_value());
 }
 
-TEST(ManagerTest, LastSentIsExposed) {
+TEST(ManagerTest, MaterializedTargetsAreExposed) {
   MemoryManager mm(std::make_unique<StaticPolicy>(), 300);
   mm.set_sender([](const hyper::TargetsMsg&) {});
-  EXPECT_FALSE(mm.last_sent().has_value());
+  EXPECT_TRUE(mm.materialized_targets().empty());
   mm.on_stats(make_stats(300, 3));
-  ASSERT_TRUE(mm.last_sent().has_value());
-  EXPECT_EQ(mm.last_sent()->size(), 3u);
+  ASSERT_EQ(mm.materialized_targets().size(), 3u);
+  EXPECT_EQ(mm.materialized_targets()[2].mm_target, 100u);
+  // A VM-set change replaces the vector: the destroyed VM does not linger.
+  mm.on_stats(make_stats(300, 2));
+  ASSERT_EQ(mm.materialized_targets().size(), 2u);
+  EXPECT_EQ(mm.materialized_targets()[1].mm_target, 150u);
 }
 
 // A faulty uplink can duplicate or reorder memstats deliveries; the MM must

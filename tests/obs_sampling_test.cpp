@@ -207,7 +207,6 @@ TEST(TraceSamplingTest, FleetTraceInvariantUnderSimThreads) {
     cfg.vms_per_node = 2;
     cfg.scale = 0.03125;
     cfg.delta = true;
-    cfg.mm_incremental = true;
     cfg.sim_threads = threads;
     cfg.obs.trace_out = path;
     cfg.obs.trace_sample_every = 4;
