@@ -163,33 +163,38 @@ void apply_comm_options(core::NodeConfig& cfg, const Options& opts) {
 
 namespace {
 
-[[noreturn]] void usage_error(const std::string& message) {
+[[noreturn]] void usage_error(const std::string& message,
+                              UsagePrinter usage = print_usage) {
   std::fprintf(stderr, "%s\n", message.c_str());
-  print_usage(stderr);
+  usage(stderr);
   std::exit(2);
 }
 
-double parse_double(const std::string& flag, const char* text) {
+}  // namespace
+
+double parse_double(const std::string& flag, const char* text,
+                    UsagePrinter usage) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text, &end);
   if (errno != 0 || end == text || *end != '\0') {
-    usage_error("malformed value '" + std::string(text) + "' for " + flag);
+    usage_error("malformed value '" + std::string(text) + "' for " + flag,
+                usage);
   }
   return v;
 }
 
-std::uint64_t parse_u64(const std::string& flag, const char* text) {
+std::uint64_t parse_u64(const std::string& flag, const char* text,
+                        UsagePrinter usage) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
   if (errno != 0 || end == text || *end != '\0' || text[0] == '-') {
-    usage_error("malformed value '" + std::string(text) + "' for " + flag);
+    usage_error("malformed value '" + std::string(text) + "' for " + flag,
+                usage);
   }
   return static_cast<std::uint64_t>(v);
 }
-
-}  // namespace
 
 Options parse_options(int argc, char** argv) {
   Options opts;

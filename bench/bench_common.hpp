@@ -131,6 +131,15 @@ Options parse_options(int argc, char** argv);
 /// Prints the flag reference to `out` (shared by --help and parse errors).
 void print_usage(std::FILE* out);
 
+/// Strict numeric flag values: anything but a complete number (for
+/// parse_u64, a complete non-negative integer) prints a message and
+/// `usage`, then exits with code 2.
+using UsagePrinter = void (*)(std::FILE*);
+double parse_double(const std::string& flag, const char* text,
+                    UsagePrinter usage = print_usage);
+std::uint64_t parse_u64(const std::string& flag, const char* text,
+                        UsagePrinter usage = print_usage);
+
 /// Runs `scenario(scale)` under every policy, prints the Figure-style
 /// running-time table plus the paper's improvement lines, and returns the
 /// per-policy results.

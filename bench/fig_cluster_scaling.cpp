@@ -14,7 +14,7 @@
 // byte-identical to `--single` (the plain VirtualNode path) — CI diffs the
 // two CSVs.
 //
-// Flags:
+// Flags (a malformed or out-of-range value exits with code 2):
 //   --scale/--reps/--seed/--jobs/--csv   as every figure bench
 //   --sim-threads <n>        worker threads for the in-run parallel engine
 //                            (1 = inline, 0 = hardware concurrency). Changes
@@ -25,9 +25,11 @@
 //   --cluster-policy <p>     restrict to one policy (global-static,
 //                            global-smart[:P]; default sweeps both)
 //   --cluster-latency-x <f>  restrict to one inter-node latency multiplier
-//                            (default sweeps x1 and x10 of the 5 ms hop)
+//                            (0, the default, sweeps x1 and x10 of the
+//                            scaled 5 ms hop; negative is rejected, and so
+//                            is a multi-node cell whose hop rounds to 0 ns)
 //   --cluster-interval-x <f> global decision interval, in node sampling
-//                            intervals (default 2)
+//                            intervals (default 2; must be > 0)
 //   --cluster-no-lending     disable remote-tmem lending
 //   --single                 run the plain single-node path and emit rows
 //                            with the same labels a 1-node cluster gets
@@ -37,11 +39,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cluster/experiment.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -79,7 +81,15 @@ void usage(std::FILE* out) {
       "  [--trace-out f] [--metrics-out f] [--audit-out f]\n");
 }
 
+[[noreturn]] void bad_value(const char* message) {
+  std::fprintf(stderr, "%s\n", message);
+  usage(stderr);
+  std::exit(2);
+}
+
 Options parse(int argc, char** argv) {
+  using bench::parse_double;
+  using bench::parse_u64;
   Options o;
   auto next = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -92,25 +102,26 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale") {
-      o.scale = std::atof(next(i));
+      o.scale = parse_double(arg, next(i), usage);
     } else if (arg == "--reps") {
-      o.reps = static_cast<std::size_t>(std::atoll(next(i)));
+      o.reps = static_cast<std::size_t>(parse_u64(arg, next(i), usage));
     } else if (arg == "--seed") {
-      o.seed = static_cast<std::uint64_t>(std::atoll(next(i)));
+      o.seed = parse_u64(arg, next(i), usage);
     } else if (arg == "--jobs") {
-      o.jobs = static_cast<std::size_t>(std::atoll(next(i)));
+      o.jobs = static_cast<std::size_t>(parse_u64(arg, next(i), usage));
     } else if (arg == "--sim-threads") {
-      o.sim_threads = static_cast<std::size_t>(std::atoll(next(i)));
+      o.sim_threads =
+          static_cast<std::size_t>(parse_u64(arg, next(i), usage));
     } else if (arg == "--csv") {
       o.csv_dir = next(i);
     } else if (arg == "--nodes") {
-      o.nodes = static_cast<std::size_t>(std::atoll(next(i)));
+      o.nodes = static_cast<std::size_t>(parse_u64(arg, next(i), usage));
     } else if (arg == "--cluster-policy") {
       o.cluster_policy = next(i);
     } else if (arg == "--cluster-latency-x") {
-      o.latency_x = std::atof(next(i));
+      o.latency_x = parse_double(arg, next(i), usage);
     } else if (arg == "--cluster-interval-x") {
-      o.interval_x = std::atof(next(i));
+      o.interval_x = parse_double(arg, next(i), usage);
     } else if (arg == "--cluster-no-lending") {
       o.lending = false;
     } else if (arg == "--single") {
@@ -132,9 +143,12 @@ Options parse(int argc, char** argv) {
   }
   if (o.reps == 0 || o.scale <= 0.0 ||
       (o.nodes != 0 && o.nodes > 64)) {
-    std::fprintf(stderr, "bad option value\n");
-    std::exit(2);
+    bad_value("bad option value");
   }
+  if (o.latency_x < 0.0) {
+    bad_value("--cluster-latency-x must be >= 0 (0 sweeps x1 and x10)");
+  }
+  if (o.interval_x <= 0.0) bad_value("--cluster-interval-x must be > 0");
   return o;
 }
 
@@ -178,9 +192,9 @@ cluster::ClusterRunResult run_single_node(const Options& o,
   return out;
 }
 
-cluster::ClusterRunResult run_cell(const Options& o, const Cell& cell,
-                                   std::uint64_t seed) {
-  if (o.single) return run_single_node(o, seed);
+cluster::ClusterExperimentConfig cell_config(const Options& o,
+                                            const Cell& cell,
+                                            std::uint64_t seed) {
   cluster::ClusterExperimentConfig cfg;
   cfg.nodes = cell.nodes;
   cfg.scale = o.scale;
@@ -190,7 +204,25 @@ cluster::ClusterRunResult run_cell(const Options& o, const Cell& cell,
   cfg.internode_latency_x = cell.lat_x;
   cfg.global_interval_x = o.interval_x;
   cfg.sim_threads = o.sim_threads;
-  return cluster::run_cluster_scenario(cfg);
+  return cfg;
+}
+
+/// A multi-node cluster needs a positive inter-node hop (the parallel
+/// engine's window); reject a cell that scales it to 0 ns before any
+/// grid worker starts.
+void check_hop(const cluster::ClusterExperimentConfig& cfg) {
+  if (cfg.nodes < 2 || cluster::internode_hop(cfg) > 0) return;
+  std::fprintf(stderr,
+               "inter-node hop is 0 ns at --scale %g x --cluster-latency-x "
+               "%g; a %zu-node cluster needs a positive hop\n",
+               cfg.scale, cfg.internode_latency_x, cfg.nodes);
+  std::exit(2);
+}
+
+cluster::ClusterRunResult run_cell(const Options& o, const Cell& cell,
+                                   std::uint64_t seed) {
+  if (o.single) return run_single_node(o, seed);
+  return cluster::run_cluster_scenario(cell_config(o, cell, seed));
 }
 
 std::string quota_str(PageCount q) {
@@ -228,6 +260,21 @@ int main(int argc, char** argv) {
       if (n == 1) break;
     }
   }
+  if (!o.single) {
+    for (const Cell& cell : cells) check_hop(cell_config(o, cell, o.seed));
+  }
+  const bool observed =
+      !o.trace_out.empty() || !o.metrics_out.empty() || !o.audit_out.empty();
+  // One extra observed run: rack observability needs >= 2 nodes, so the
+  // GlobalManager/lending/fabric pillars actually record something.
+  cluster::ClusterExperimentConfig obs_cfg = cell_config(
+      o,
+      Cell{std::max<std::size_t>(o.nodes != 0 ? o.nodes : 2, 2),
+           o.latency_x != 0.0 ? o.latency_x : 1.0,
+           !o.cluster_policy.empty() ? o.cluster_policy
+                                     : std::string("global-smart")},
+      o.seed);
+  if (observed) check_hop(obs_cfg);
 
   std::printf("=== cluster scaling: hot node + cold donors "
               "(usemem / cluster-cold, smart P=25%%) ===\n");
@@ -332,26 +379,13 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", path.c_str());
   }
 
-  if (!o.trace_out.empty() || !o.metrics_out.empty() || !o.audit_out.empty()) {
-    // One extra observed run: rack observability needs >= 2 nodes, so the
-    // GlobalManager/lending/fabric pillars actually record something.
-    cluster::ClusterExperimentConfig cfg;
-    cfg.nodes = std::max<std::size_t>(o.nodes != 0 ? o.nodes : 2, 2);
-    cfg.scale = o.scale;
-    cfg.seed = o.seed;
-    cfg.global_policy = !o.cluster_policy.empty()
-                            ? o.cluster_policy
-                            : std::string("global-smart");
-    cfg.lending = o.lending;
-    cfg.internode_latency_x = o.latency_x != 0.0 ? o.latency_x : 1.0;
-    cfg.global_interval_x = o.interval_x;
-    cfg.sim_threads = o.sim_threads;
-    cfg.obs.trace_out = o.trace_out;
-    cfg.obs.metrics_out = o.metrics_out;
-    cfg.obs.audit_out = o.audit_out;
-    std::printf("\nobserved run: %zu nodes, %s\n", cfg.nodes,
-                cfg.global_policy.c_str());
-    cluster::run_cluster_scenario(cfg);
+  if (observed) {
+    obs_cfg.obs.trace_out = o.trace_out;
+    obs_cfg.obs.metrics_out = o.metrics_out;
+    obs_cfg.obs.audit_out = o.audit_out;
+    std::printf("\nobserved run: %zu nodes, %s\n", obs_cfg.nodes,
+                obs_cfg.global_policy.c_str());
+    cluster::run_cluster_scenario(obs_cfg);
     if (!o.trace_out.empty()) std::printf("  trace:   %s\n", o.trace_out.c_str());
     if (!o.metrics_out.empty())
       std::printf("  metrics: %s\n", o.metrics_out.c_str());

@@ -17,15 +17,15 @@
 // traffic (stats roll-ups, quota vectors, lending settlement) moves only
 // at window barriers, in a deterministic total order. A multi-node run is
 // therefore byte-identical for every sim_threads value, including 1 —
-// sharding is always on from 2 nodes up, threading is optional. If the
-// topology has no positive minimum inter-node latency (e.g. a lognormal
-// hop), sharding is impossible and the cluster falls back to the classic
-// single-simulator wiring.
+// sharding is always on from 2 nodes up, threading is optional. The window
+// needs a positive lower bound on every inter-node hop, so start() rejects
+// a 2+ node topology without one (e.g. a lognormal or 0 ns hop).
 //
 // Determinism contract: a 1-node cluster wires *nothing* beyond the node
 // itself — no GlobalManager, no broker, no inter-node channels, no stats
-// tap, no engine — so its event stream, and therefore its output, is
-// byte-identical to the single-node path for the same NodeConfig and seed.
+// tap, no engine — and runs the node's own loop (VirtualNode::run), so its
+// output is byte-identical to the single-node path for the same NodeConfig
+// and seed.
 #pragma once
 
 #include <functional>
@@ -92,7 +92,7 @@ struct ClusterConfig {
   /// Shards are labelled "n0".."nK" and "rack". Wall-clock derived — the
   /// event schedule and every simulation outcome stay byte-identical; the
   /// results surface via profiler() and, with a metrics registry attached,
-  /// as "engine."-prefixed gauges. Ignored in classic (non-sharded) mode.
+  /// as "engine."-prefixed gauges. Ignored by a 1-node cluster (no engine).
   bool profile = false;
 
   /// Rack-level observability (GlobalManager audit/trace, lending and
@@ -108,11 +108,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Adds a node running `config`. In sharded mode (positive minimum
-  /// inter-node latency) the node owns a private simulator shard; otherwise
-  /// it shares the cluster simulator. Call
-  /// core::populate_node(cluster.node(i), ...) afterwards to add its VMs.
-  /// Nodes must all be added before start()/run().
+  /// Adds a node running `config` on its own private simulator (its shard).
+  /// Call core::populate_node(cluster.node(i), ...) afterwards to add its
+  /// VMs. Nodes must all be added before start()/run().
   std::size_t add_node(core::NodeConfig config);
 
   core::VirtualNode& node(std::size_t i) { return *nodes_.at(i); }
@@ -120,21 +118,23 @@ class Cluster {
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Wires the rack (channels, GlobalManager, broker, engine — 2+ nodes
-  /// only) and starts every node. run() calls this when needed.
+  /// only) and starts every node. run() calls this when needed. Throws
+  /// std::invalid_argument for 2+ nodes when the topology has no positive
+  /// minimum inter-node latency (no safe engine window).
   void start();
 
   /// Advances the simulation until every node's VMs are done (or the
   /// deadline), then tears everything down. Returns the end time.
   SimTime run(SimTime deadline = 4 * 3600 * kSecond);
 
-  /// The rack shard's simulator in sharded mode; the shared simulator
-  /// otherwise (for a 1-node sharded cluster, prefer node(0).simulator()).
+  /// The rack shard's simulator (GlobalManager, downlink sources). Node i's
+  /// events run on node(i).simulator(); a 1-node cluster uses only that.
   sim::Simulator& simulator() { return sim_; }
   GlobalManager* global_manager() { return gm_.get(); }
   LendingBroker* broker() { return broker_.get(); }
   obs::Observer* observer() { return observer_.get(); }
   sim::ParallelEngine* engine() { return engine_.get(); }
-  /// Engine self-profile; nullptr unless config.profile and sharded mode.
+  /// Engine self-profile; nullptr unless config.profile and 2+ nodes.
   const sim::EngineProfiler* profiler() const { return profiler_.get(); }
   const ClusterConfig& config() const { return config_; }
   bool all_done() const;
@@ -151,17 +151,12 @@ class Cluster {
   void on_node_sample(std::size_t i, const hyper::MemStats& stats);
   void on_quota(std::size_t i, const NodeQuotaMsg& msg);
   void on_barrier(SimTime end);
-  void teardown();
-
-  /// The simulator the classic (non-engine) run loop steps: node 0's shard
-  /// for a 1-node sharded cluster, the shared simulator otherwise.
-  sim::Simulator& drive_sim();
+  /// `end` stamps the final rack metrics snapshot.
+  void teardown(SimTime end);
 
   ClusterConfig config_;
-  // Sharded mode: the rack shard (GlobalManager + downlink sources).
-  // Classic mode: the one shared simulator for everything.
+  // The rack shard: GlobalManager + downlink sources.
   sim::Simulator sim_;
-  bool sharded_ = false;
   std::vector<std::unique_ptr<core::VirtualNode>> nodes_;
   std::vector<std::unique_ptr<comm::Channel<NodeStats>>> uplinks_;
   std::vector<std::unique_ptr<comm::Channel<NodeQuotaMsg>>> downlinks_;
@@ -171,11 +166,11 @@ class Cluster {
   std::unique_ptr<GlobalManager> gm_;
   std::unique_ptr<LendingBroker> broker_;
   std::unique_ptr<obs::Observer> observer_;
-  // Sharded mode: per-node-shard trace rings (uplink spans, lending
-  // instants), merged into the rack recorder at teardown.
+  // Per-node-shard trace rings (uplink spans, lending instants), merged
+  // into the rack recorder at teardown.
   std::vector<std::unique_ptr<obs::TraceRecorder>> node_traces_;
-  sim::EventHandle metrics_sampler_;  // classic mode only
-  SimTime snapshot_interval_ = 0;     // sharded mode: barrier-driven
+  // Registry snapshots are barrier-driven: next due time and cadence.
+  SimTime snapshot_interval_ = 0;
   SimTime next_snapshot_ = 0;
   // Roll-up delta state (delta mode): last payload sent per node, per-node
   // sample occasion counter driving the resync cadence, and per-node

@@ -64,15 +64,18 @@ std::uint64_t node_seed(std::uint64_t seed, std::size_t i) {
   return comm::derive_seed(seed, 0x6e6f6465ULL + static_cast<std::uint64_t>(i));
 }
 
+SimTime internode_hop(const ClusterExperimentConfig& cfg) {
+  return static_cast<SimTime>(5.0 * static_cast<double>(kMillisecond) *
+                              cfg.scale * cfg.internode_latency_x);
+}
+
 ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg) {
   const core::NodeConfig base = core::scaled_node_defaults(cfg.scale);
 
   ClusterConfig ccfg;
   ccfg.topology.node_count = cfg.nodes;
   ccfg.topology.node_comm = base.comm;
-  const auto hop = static_cast<SimTime>(5.0 *
-                                        static_cast<double>(kMillisecond) *
-                                        cfg.scale * cfg.internode_latency_x);
+  const SimTime hop = internode_hop(cfg);
   ccfg.topology.internode_up.latency = comm::LatencySpec::fixed_at(hop);
   ccfg.topology.internode_down.latency = comm::LatencySpec::fixed_at(hop);
   ccfg.global_policy = cfg.global_policy;

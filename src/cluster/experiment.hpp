@@ -60,7 +60,7 @@ struct ClusterNodeResult {
 struct ClusterRunResult {
   std::vector<ClusterNodeResult> nodes;
   std::uint64_t aggregate_failed_puts = 0;
-  double makespan_s = 0.0;  // shared-simulator end time
+  double makespan_s = 0.0;  // cluster end time
   std::uint64_t gm_decisions = 0;
   std::uint64_t quotas_sent = 0;
   std::uint64_t borrow_placements = 0;
@@ -71,6 +71,10 @@ struct ClusterRunResult {
 
 /// The cold-node workload spec (exposed for tests).
 core::ScenarioSpec cluster_cold_scenario(double scale);
+
+/// The fixed inter-node hop a run uses: 5 ms x scale x internode_latency_x,
+/// truncated to whole nanoseconds. A 2+ node run needs it positive.
+SimTime internode_hop(const ClusterExperimentConfig& cfg);
 
 /// Builds, runs and tears down one hot/cold cluster run.
 ClusterRunResult run_cluster_scenario(const ClusterExperimentConfig& cfg);

@@ -21,7 +21,7 @@
 //    timers exactly as Tkm::stop() cancels deliveries.
 //
 // Everything — Rng streams, donor queues, timers, the cache — is
-// partitioned per borrower, so sharded-mode windows never touch another
+// partitioned per borrower, so engine windows never touch another
 // shard's state mid-window; donor stores still settle only at window
 // barriers (LendingBroker::sync_window). A run is therefore byte-identical
 // for every --sim-threads value.
@@ -172,9 +172,9 @@ class LendFabric {
   LendFabric(const comm::ClusterTopology& topo, AsyncLendingConfig cfg,
              std::size_t nodes);
 
-  /// Wires borrower `node`'s partition to its shard simulator (the shared
-  /// simulator in immediate mode). Without a simulator the partition still
-  /// models latency/faults but skips in-flight occupancy tracking.
+  /// Wires borrower `node`'s partition to its shard simulator. Without a
+  /// simulator the partition still models latency/faults but skips
+  /// in-flight occupancy tracking.
   void attach_sim(NodeId node, sim::Simulator* sim);
 
   const AsyncLendingConfig& config() const { return cfg_; }

@@ -1,15 +1,13 @@
 #include "cluster/lending.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace smartmem::cluster {
 
-LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
-                             LendingMode mode)
-    : hyps_(std::move(nodes)), mode_(mode) {
+LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes)
+    : hyps_(std::move(nodes)) {
   if (hyps_.size() < 2) {
     throw std::invalid_argument("LendingBroker: needs at least 2 nodes");
   }
@@ -17,16 +15,12 @@ LendingBroker::LendingBroker(std::vector<hyper::Hypervisor*> nodes,
   for (NodeId i = 0; i < state_.size(); ++i) {
     state_[i].self = i;
     state_[i].port = std::make_unique<Port>(*this, i);
-    if (mode_ == LendingMode::kSharded) {
-      state_[i].credit.assign(hyps_.size(), 0);
-      state_[i].pending_release.assign(hyps_.size(), 0);
-    }
+    state_[i].credit.assign(hyps_.size(), 0);
+    state_[i].pending_release.assign(hyps_.size(), 0);
   }
-  if (mode_ == LendingMode::kSharded) {
-    granted_.assign(hyps_.size(), 0);
-    consumed_.assign(hyps_.size(), 0);
-    pool_.assign(hyps_.size(), 0);
-  }
+  granted_.assign(hyps_.size(), 0);
+  consumed_.assign(hyps_.size(), 0);
+  pool_.assign(hyps_.size(), 0);
 }
 
 void LendingBroker::enable_async(const AsyncLendingConfig& cfg,
@@ -47,15 +41,6 @@ hyper::RemoteTmem* LendingBroker::port(NodeId node) {
   return state_.at(node).port.get();
 }
 
-void LendingBroker::attach_obs(obs::TraceRecorder* trace,
-                               std::function<SimTime()> clock) {
-  trace_ = trace;
-  clock_ = std::move(clock);
-  if (trace_ != nullptr) {
-    track_ = trace_->register_track("cluster", "lending");
-  }
-}
-
 void LendingBroker::attach_partition_obs(NodeId node,
                                          obs::TraceRecorder* trace,
                                          std::function<SimTime()> clock) {
@@ -69,24 +54,19 @@ void LendingBroker::attach_partition_obs(NodeId node,
 
 void LendingBroker::trace_instant(NodeState& st, const char* name,
                                   NodeId borrower, NodeId donor) {
-  // Partition recorder first (sharded mode); the shared recorder is only
-  // safe when the broker runs on a single simulator.
-  obs::TraceRecorder* trace = st.trace != nullptr ? st.trace : trace_;
-  if (trace == nullptr || !trace->enabled(obs::kCatCluster)) return;
-  const std::uint16_t track = st.trace != nullptr ? st.track : track_;
-  const SimTime now = st.trace != nullptr ? (st.clock ? st.clock() : 0)
-                                          : (clock_ ? clock_() : 0);
-  trace->instant(obs::kCatCluster, track, name, now,
-                 {{"borrower", static_cast<double>(borrower)},
-                  {"donor", static_cast<double>(donor)}});
+  if (st.trace == nullptr || !st.trace->enabled(obs::kCatCluster)) return;
+  st.trace->instant(obs::kCatCluster, st.track, name,
+                    st.clock ? st.clock() : 0,
+                    {{"borrower", static_cast<double>(borrower)},
+                     {"donor", static_cast<double>(donor)}});
 }
 
 void LendingBroker::drop_entry(NodeState& st, const RemoteKey& key) {
   auto it = st.index.find(key);
   if (it == st.index.end()) return;
   // Single choke point for cache coherence: whenever a borrowed entry dies
-  // (flush, release, recall, ephemeral-hit consume, index repair) the
-  // borrower-side cached copy dies with it.
+  // (flush, release, recall, ephemeral-hit consume, failed replacement)
+  // the borrower-side cached copy dies with it.
   if (fabric_ != nullptr) fabric_->cache(st.self).erase(key);
   st.index.erase(it);
   st.borrowed_total -= 1;
@@ -96,11 +76,11 @@ void LendingBroker::drop_entry(NodeState& st, const RemoteKey& key) {
   }
 }
 
-void LendingBroker::release_frame(NodeState& st, const RemoteKey& key,
+void LendingBroker::release_entry(NodeState& st, const RemoteKey& key,
                                   NodeId donor) {
-  st.shadow.erase(key);
   st.pending_release[donor] += 1;
   st.dirty = true;
+  drop_entry(st, key);
 }
 
 bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
@@ -110,11 +90,11 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
   const RemoteKey key{vm, type, object, index};
   st.last_elapsed = 0;
 
-  // Replacement of a key the broker already holds stays on its donor (the
-  // donor-side put swaps the payload without consuming a new frame).
+  // Replacement of a key the broker already holds stays on its donor: the
+  // payload is swapped in place and no new frame is consumed.
   auto it = st.index.find(key);
   if (it != st.index.end()) {
-    const NodeId donor = it->second;
+    const NodeId donor = it->second.donor;
     if (fabric_ != nullptr) {
       comm::LendRequest req{0, comm::LendOp::kPut, node, vm,
                             type,  object,          index, true};
@@ -123,46 +103,33 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
       st.last_elapsed = out.elapsed;
       if (!out.ok) {
         // The replacement never reached the donor and the guest is about to
-        // fall back to disk — drop the entry (and the stale donor frame)
-        // so owns() never vouches for a payload the guest stopped trusting.
+        // fall back to disk — drop the entry (and free the stale donor
+        // frame) so owns() never vouches for a payload the guest stopped
+        // trusting.
         ++st.failed_replacements;
         fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
-        if (mode_ == LendingMode::kSharded) {
-          release_frame(st, key, donor);
-        } else {
-          hyps_[donor]->host_remote_flush(node, vm, type, object, index);
-        }
-        drop_entry(st, key);
+        release_entry(st, key, donor);
         return false;
       }
       fabric_->record_put_rtt(node, out.elapsed);
       fabric_->cache(node).insert(key, payload);
     }
-    if (mode_ == LendingMode::kSharded) {
-      st.shadow[key] = payload;
-      return true;
-    }
-    return hyps_[donor]->host_remote_put(node, vm, type, object, index,
-                                         payload);
+    it->second.payload = payload;
+    return true;
   }
 
   // Fresh placement: deterministic rotation over the other nodes, first
-  // donor with capacity wins (lendable frames in immediate mode, remaining
-  // window credit in sharded mode). The cursor advances past a chosen donor
-  // so successive placements spread instead of piling on node 0. With the
-  // async data plane the capacity probe only *selects* the donor; the
-  // request/response exchange then decides whether the placement lands —
-  // and a transport give-up degrades to a local failed put rather than
-  // hammering the next donor with a guest already waiting on its timeout.
+  // donor with remaining window credit wins. The cursor advances past a
+  // chosen donor so successive placements spread instead of piling on
+  // node 0. With the async data plane the credit probe only *selects* the
+  // donor; the request/response exchange then decides whether the
+  // placement lands — and a transport give-up degrades to a local failed
+  // put rather than hammering the next donor with a guest already waiting
+  // on its timeout.
   const NodeId n = static_cast<NodeId>(hyps_.size());
   for (NodeId j = 0; j < n; ++j) {
     const NodeId donor = (node + 1 + st.rotation + j) % n;
-    if (donor == node) continue;
-    if (mode_ == LendingMode::kSharded) {
-      if (st.credit[donor] == 0) continue;
-    } else if (hyps_[donor]->lendable_pages() == 0) {
-      continue;
-    }
+    if (donor == node || st.credit[donor] == 0) continue;
     if (fabric_ != nullptr) {
       comm::LendRequest req{0, comm::LendOp::kPut, node, vm,
                             type,  object,          index, true};
@@ -173,33 +140,16 @@ bool LendingBroker::do_put(NodeId node, VmId vm, tmem::PoolType type,
         ++st.failed_placements;
         return false;
       }
-    }
-    if (mode_ == LendingMode::kSharded) {
-      st.credit[donor] -= 1;
-      st.dirty = true;
-      st.shadow.emplace(key, payload);
-    } else if (!hyps_[donor]->host_remote_put(node, vm, type, object, index,
-                                              payload)) {
-      // The donor's answer was "no capacity" (the probe raced a local
-      // grow-back). The exchange itself succeeded; rotation continues.
-      continue;
-    }
-    if (fabric_ != nullptr) {
       fabric_->record_put_rtt(node, st.last_elapsed);
       fabric_->cache(node).insert(key, payload);
     }
-    st.index.emplace(key, donor);
+    st.credit[donor] -= 1;
+    st.dirty = true;
+    st.index.emplace(key, Borrowed{donor, payload});
     st.borrowed_total += 1;
     st.borrowed_per_vm[vm] += 1;
     st.rotation = (st.rotation + j + 1) % n;
     ++st.placements;
-    if (mode_ == LendingMode::kImmediate) {
-      // Sharded mode tracks the peak at barriers only (summing partitions
-      // mid-window would race the other shards).
-      PageCount total = 0;
-      for (const NodeState& s : state_) total += s.borrowed_total;
-      peak_borrowed_ = std::max(peak_borrowed_, total);
-    }
     trace_instant(st, "borrow_place", node, donor);
     return true;
   }
@@ -220,7 +170,7 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
     ++st.misses;
     return std::nullopt;
   }
-  const NodeId donor = it->second;
+  const NodeId donor = it->second.donor;
 
   // Borrower-side cache: a hit serves the page at the access point and
   // skips the inter-node round trip entirely.
@@ -232,12 +182,7 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
         // Exclusivity survives the cache: the donor copy is consumed via a
         // fire-and-forget invalidate (drop_entry also erases the cache).
         fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
-        if (mode_ == LendingMode::kSharded) {
-          release_frame(st, key, donor);
-        } else {
-          hyps_[donor]->host_remote_flush(node, vm, type, object, index);
-        }
-        drop_entry(st, key);
+        release_entry(st, key, donor);
       }
       trace_instant(st, "borrow_cache_hit", node, donor);
       return cached;
@@ -260,34 +205,17 @@ std::optional<tmem::PagePayload> LendingBroker::do_get(NodeId node, VmId vm,
     }
   }
 
-  std::optional<tmem::PagePayload> payload;
-  if (mode_ == LendingMode::kSharded) {
-    auto sh = st.shadow.find(key);
-    if (sh != st.shadow.end()) payload = sh->second;
-  } else {
-    payload = hyps_[donor]->host_remote_get(node, vm, type, object, index);
-  }
-  if (!payload) {
-    // Index and backing store disagree — repair the index rather than lie.
-    drop_entry(st, key);
-    ++st.misses;
-    return std::nullopt;
-  }
+  const tmem::PagePayload payload = it->second.payload;
   ++st.hits;
   if (fabric_ != nullptr && type == tmem::PoolType::kPersistent) {
     // Hot borrowed pages earn a seat at the access point; ephemeral pages
     // are consumed on their first (and only) hit below.
-    fabric_->cache(node).insert(key, *payload);
+    fabric_->cache(node).insert(key, payload);
   }
   if (type == tmem::PoolType::kEphemeral) {
     // Victim-cache semantics survive the rack hop: an ephemeral hit
     // consumes the page.
-    if (mode_ == LendingMode::kSharded) {
-      release_frame(st, key, donor);
-    } else {
-      hyps_[donor]->host_remote_flush(node, vm, type, object, index);
-    }
-    drop_entry(st, key);
+    release_entry(st, key, donor);
   }
   trace_instant(st, "borrow_hit", node, donor);
   return payload;
@@ -302,15 +230,11 @@ bool LendingBroker::do_flush(NodeId node, VmId vm, tmem::PoolType type,
   // A guest flush does not wait on the donor: the invalidate frame is
   // fire-and-forget (retried implicitly — the donor frame is reclaimed at
   // the latest by the next recall sweep).
+  const NodeId donor = it->second.donor;
   if (fabric_ != nullptr) {
-    fabric_->send_invalidate(node, it->second, comm::LendOp::kFlush);
+    fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
   }
-  if (mode_ == LendingMode::kSharded) {
-    release_frame(st, key, it->second);
-  } else {
-    hyps_[it->second]->host_remote_flush(node, vm, type, object, index);
-  }
-  drop_entry(st, key);
+  release_entry(st, key, donor);
   return true;
 }
 
@@ -325,17 +249,12 @@ PageCount LendingBroker::do_flush_object(NodeId node, VmId vm,
   while (it != st.index.end() && it->first.vm == vm &&
          it->first.type == type && it->first.object == object) {
     const RemoteKey key = it->first;
-    const NodeId donor = it->second;
+    const NodeId donor = it->second.donor;
     ++it;
     if (fabric_ != nullptr) {
       fabric_->send_invalidate(node, donor, comm::LendOp::kFlushObject);
     }
-    if (mode_ == LendingMode::kSharded) {
-      release_frame(st, key, donor);
-    } else {
-      hyps_[donor]->host_remote_flush(node, vm, type, object, key.index);
-    }
-    drop_entry(st, key);
+    release_entry(st, key, donor);
     ++flushed;
   }
   return flushed;
@@ -397,18 +316,12 @@ PageCount LendingBroker::do_release(NodeId node, PageCount max_pages) {
       continue;
     }
     const RemoteKey key = it->first;
-    const NodeId donor = it->second;
+    const NodeId donor = it->second.donor;
     ++it;
     if (fabric_ != nullptr) {
       fabric_->send_invalidate(node, donor, comm::LendOp::kFlush);
     }
-    if (mode_ == LendingMode::kSharded) {
-      release_frame(st, key, donor);
-    } else {
-      hyps_[donor]->host_remote_flush(node, key.vm, key.type, key.object,
-                                      key.index);
-    }
-    drop_entry(st, key);
+    release_entry(st, key, donor);
     ++released;
   }
   return released;
@@ -423,20 +336,15 @@ PageCount LendingBroker::recall_lent(NodeId donor, PageCount max_pages) {
     NodeState& st = state_[b];
     auto it = st.index.begin();
     while (it != st.index.end() && recalled < max_pages) {
-      if (it->second != donor) {
+      if (it->second.donor != donor) {
         ++it;
         continue;
       }
       const RemoteKey key = it->first;
+      const tmem::PagePayload payload = it->second.payload;
       ++it;
       if (key.type == tmem::PoolType::kEphemeral) {
         // Victim cache: the borrower just loses the cached copy.
-        if (mode_ == LendingMode::kSharded) {
-          st.shadow.erase(key);
-        } else {
-          hyps_[donor]->host_remote_flush(b, key.vm, key.type, key.object,
-                                          key.index);
-        }
         drop_entry(st, key);
         ++recalled;
         ++recalls_;
@@ -444,27 +352,9 @@ PageCount LendingBroker::recall_lent(NodeId donor, PageCount max_pages) {
       }
       // Persistent: migrate the only copy home. When the borrower has no
       // free frame the page must stay borrowed.
-      std::optional<tmem::PagePayload> payload;
-      if (mode_ == LendingMode::kSharded) {
-        auto sh = st.shadow.find(key);
-        if (sh != st.shadow.end()) payload = sh->second;
-      } else {
-        payload = hyps_[donor]->host_remote_get(b, key.vm, key.type,
-                                                key.object, key.index);
-      }
-      if (!payload) {
-        drop_entry(st, key);
-        continue;
-      }
       if (!hyps_[b]->rehome_page(key.vm, key.type, key.object, key.index,
-                                 *payload)) {
+                                 payload)) {
         continue;
-      }
-      if (mode_ == LendingMode::kSharded) {
-        st.shadow.erase(key);
-      } else {
-        hyps_[donor]->host_remote_flush(b, key.vm, key.type, key.object,
-                                        key.index);
       }
       drop_entry(st, key);
       ++recalled;
@@ -473,15 +363,12 @@ PageCount LendingBroker::recall_lent(NodeId donor, PageCount max_pages) {
       trace_instant(st, "recall_migrate", b, donor);
     }
   }
-  if (mode_ == LendingMode::kSharded && recalled > 0) {
-    // Sharded recalls free leased frames, not directly-stored pages.
-    hyps_[donor]->host_unlease(recalled);
-  }
+  // Every recalled page frees one of the donor's leased frames.
+  if (recalled > 0) hyps_[donor]->host_unlease(recalled);
   return recalled;
 }
 
 void LendingBroker::sync_window() {
-  assert(mode_ == LendingMode::kSharded);
   const NodeId n = static_cast<NodeId>(hyps_.size());
 
   // 1. Settle the dirty partitions. A clean partition still holds exactly

@@ -7,25 +7,38 @@
 // Algorithm 1 falls through to the port when the node is physically full
 // but below quota.
 //
+// Data plane (lease + shadow): donors live on other engine shards, so a
+// borrower never touches a donor's store mid-window. Each borrower
+// partition keeps the authoritative payload of every page it borrowed,
+// shard-local, plus per-donor placement *credit* — frames the coordinator
+// reserved on the donor (Hypervisor::host_lease) at the last window
+// barrier. A fresh placement consumes one credit; a flush, release or
+// ephemeral-hit consume queues the freed frame as a pending release.
+// sync_window() settles all of it against the donor stores between
+// windows. For every donor d the lease identity holds:
+//   leased_pages(d) == sum over borrowers b of
+//                      (pages b borrowed from d + credit[b][d]
+//                       + pending_release[b][d]).
+//
 // Semantics:
 //  - The borrower's (vm, type, object, index) key is the identity; the
-//    broker keeps a per-borrower sorted index key -> donor NodeId.
-//  - On the donor every borrowed page lives in a persistent-typed lender
-//    pool (one per borrower x vm x type, owned by the pseudo-VM
-//    kLenderVmBase + borrower), so a donor-side ephemeral eviction can
-//    never silently drop a borrower's only copy of a frontswap page.
+//    broker keeps a per-borrower sorted index key -> (donor, payload).
+//  - Leased frames live in a persistent, incompressible pool under the
+//    pseudo-VM hyper::kLeaseVmId, so a donor-side eviction can never drop
+//    the frame behind a borrower's only copy of a frontswap page.
 //  - Borrowed *ephemeral*-typed pages are still a victim cache from the
-//    borrower's point of view: a remote_get hit flushes the page at the
-//    donor; release_borrowed() (quota shrink, slow reclaim) drops only
-//    ephemeral-typed entries. Persistent-typed pages move only through
-//    recall_lent(), which migrates them back into the borrower's own store.
+//    borrower's point of view: a remote_get hit consumes the page (its
+//    donor frame is released at the next barrier); release_borrowed()
+//    (quota shrink, slow reclaim) drops only ephemeral-typed entries.
+//    Persistent-typed pages move only through recall_lent(), which
+//    migrates them back into the borrower's own store.
 //  - Donor choice is a deterministic rotation over the other nodes, so a
 //    given (seed, topology) always produces the same placement.
 //
 // Latency: with the asynchronous data plane off (the historic default) a
 // borrower's guest pays the remote-tier cost (CostModel tmem_put_remote /
 // tmem_get_remote) on every borrowed-page operation and the broker's calls
-// are synchronous host-side bookkeeping. With enable_async() the broker
+// are shard-local bookkeeping. With enable_async() the broker
 // routes every put/get through a LendFabric round trip
 // (cluster/lend_fabric.hpp): the modeled request/response exchange decides
 // whether the operation succeeds at all (loss / reorder / outage /
@@ -50,23 +63,6 @@
 
 namespace smartmem::cluster {
 
-/// How the broker reaches donors.
-enum class LendingMode : std::uint8_t {
-  /// Synchronous cross-node calls on a shared simulator (single-simulator
-  /// clusters and unit tests): every put/get touches the donor store
-  /// directly.
-  kImmediate,
-  /// Parallel-engine clusters: mid-window operations are strictly
-  /// shard-local. Each borrower partition holds its borrowed payloads in a
-  /// shadow map plus per-donor placement *credit* — frames the coordinator
-  /// pre-reserved on the donor via Hypervisor::host_lease at the last
-  /// window barrier. A fresh placement consumes one credit; flushes and
-  /// ephemeral-hit consumes queue the freed frame in pending_release. The
-  /// coordinator's sync_window() settles everything against the real donor
-  /// stores between windows.
-  kSharded,
-};
-
 /// Borrower `k`'s share (k in [0, members)) of a donor's credit pool split
 /// evenly over `members` borrowers, the remainder going to the lowest
 /// indices: pool / members + (k < pool % members). The shares sum to `pool`.
@@ -78,9 +74,9 @@ constexpr PageCount even_credit_share(PageCount pool, PageCount members,
 class LendingBroker {
  public:
   /// `nodes[i]` is node i's hypervisor; the broker holds the pointers for
-  /// the cluster's lifetime.
-  explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes,
-                         LendingMode mode = LendingMode::kImmediate);
+  /// the cluster's lifetime. No partition holds credit until the first
+  /// sync_window().
+  explicit LendingBroker(std::vector<hyper::Hypervisor*> nodes);
 
   LendingBroker(const LendingBroker&) = delete;
   LendingBroker& operator=(const LendingBroker&) = delete;
@@ -108,11 +104,12 @@ class LendingBroker {
   /// back out (quota grew, the donor needs its frames again). Ephemeral-
   /// typed entries are dropped (victim cache); persistent-typed ones are
   /// migrated home into the borrower's own store when it has a free frame,
-  /// and stay put otherwise. Returns pages actually recalled.
+  /// and stay put otherwise. Each recalled page's leased frame returns to
+  /// the donor's free pool. Returns pages actually recalled. Touches every
+  /// borrower partition: coordinator context only (sync_window calls it).
   PageCount recall_lent(NodeId donor, PageCount max_pages);
 
-  /// Sharded-mode window barrier (coordinator context, all shards
-  /// quiescent). Settles the window's lending activity against the donor
+  /// Window barrier (coordinator context, all shards quiescent). Settles the window's lending activity against the donor
   /// stores: frames freed by borrower flushes are unleased; donors whose
   /// entitlement grew past their lease shed unused credit and recall
   /// borrowed pages; every donor then tops its lease back up to its full
@@ -127,29 +124,22 @@ class LendingBroker {
   /// allocates. Only lease *deltas* touch the store.
   void sync_window();
 
-  LendingMode mode() const { return mode_; }
-
   PageCount borrowed_total(NodeId node) const;
   PageCount peak_borrowed() const { return peak_borrowed_; }
   std::uint64_t borrow_placements() const;
   std::uint64_t borrow_hits() const;
   std::uint64_t borrow_misses() const;
-  /// Lifetime fresh placements that found no donor (no lendable frame in
-  /// immediate mode, no remaining window credit in sharded mode).
+  /// Lifetime fresh placements that found no donor with remaining window
+  /// credit (or that the async fabric failed to deliver).
   std::uint64_t failed_placements() const;
   /// Replacement puts lost to the fabric (async data plane only).
   std::uint64_t failed_replacements() const;
   std::uint64_t recalls() const { return recalls_; }
   std::uint64_t recall_migrations() const { return recall_migrations_; }
 
-  /// `clock` stamps the broker's trace instants with shared-sim time (the
-  /// broker has no simulator reference of its own).
-  void attach_obs(obs::TraceRecorder* trace, std::function<SimTime()> clock);
-
-  /// Sharded-mode observability: borrower `node`'s partition writes its
-  /// instants to its own shard's recorder/clock (partitions run
-  /// concurrently, so the shared recorder of attach_obs is off-limits
-  /// mid-window).
+  /// Borrower `node`'s partition writes its trace instants to its own
+  /// shard's recorder, stamped by `clock` (partitions run concurrently, so
+  /// no recorder is shared between them).
   void attach_partition_obs(NodeId node, obs::TraceRecorder* trace,
                             std::function<SimTime()> clock);
 
@@ -204,9 +194,16 @@ class LendingBroker {
     NodeId node_;
   };
 
+  /// One borrowed page: its donor and its authoritative payload (the donor
+  /// store holds only an opaque leased frame).
+  struct Borrowed {
+    NodeId donor;
+    tmem::PagePayload payload;
+  };
+
   struct NodeState {
     NodeId self = 0;
-    std::map<RemoteKey, NodeId> index;  // borrowed key -> donor
+    std::map<RemoteKey, Borrowed> index;
     std::map<VmId, PageCount> borrowed_per_vm;
     PageCount borrowed_total = 0;
     NodeId rotation = 0;  // donor rotation cursor
@@ -227,11 +224,6 @@ class LendingBroker {
     /// dropped (the guest falls back to disk) so owns() never lies. Not a
     /// placement failure.
     std::uint64_t failed_replacements = 0;
-    // ---- kSharded only ----------------------------------------------------
-    // Authoritative payloads of this borrower's borrowed pages. In sharded
-    // mode the donor store holds opaque leased frames; the data itself
-    // lives here, shard-local, so gets/puts never cross shards mid-window.
-    std::map<RemoteKey, tmem::PagePayload> shadow;
     // credit[d]: fresh placements this borrower may still charge against
     // donor d's lease before the next barrier.
     std::vector<PageCount> credit;
@@ -262,11 +254,12 @@ class LendingBroker {
   PageCount do_borrowed_pages(NodeId node, VmId vm) const;
   PageCount do_release(NodeId node, PageCount max_pages);
 
-  /// Removes one index entry and fixes the borrow accounting. In sharded
-  /// mode also erases the shadow payload and queues the freed frame for the
-  /// donor (`release_frame`).
+  /// Removes one borrowed entry (and its cached copy) and fixes the borrow
+  /// accounting.
   void drop_entry(NodeState& st, const RemoteKey& key);
-  void release_frame(NodeState& st, const RemoteKey& key, NodeId donor);
+  /// drop_entry() plus queueing the freed frame for `donor`, which the
+  /// next sync_window() unleases.
+  void release_entry(NodeState& st, const RemoteKey& key, NodeId donor);
   void trace_instant(NodeState& st, const char* name, NodeId borrower,
                      NodeId donor);
   /// Borrower `b`'s share of donor `d`'s credit pool `pool`.
@@ -278,8 +271,7 @@ class LendingBroker {
   std::vector<hyper::Hypervisor*> hyps_;
   std::vector<NodeState> state_;
   std::unique_ptr<LendFabric> fabric_;  // async data plane (null = sync)
-  LendingMode mode_;
-  // ---- kSharded settlement state (coordinator-owned) -----------------------
+  // ---- Settlement state (coordinator-owned) --------------------------------
   // granted_[d]: donor d's credit pool as split at the last barrier, so
   // state_[b].credit[d] == credit_share(granted_[d], d, b) for every
   // partition that stayed clean since.
@@ -291,13 +283,12 @@ class LendingBroker {
   PageCount peak_borrowed_ = 0;
   std::uint64_t recalls_ = 0;
   std::uint64_t recall_migrations_ = 0;
-  obs::TraceRecorder* trace_ = nullptr;
-  std::function<SimTime()> clock_;
-  std::uint16_t track_ = 0;
 
   // Test-only dense O(nodes^2) settlement the dirty-set sync_window() is
-  // checked against (tests/cluster_lending_oracle_test.cpp).
+  // checked against (tests/cluster_lending_oracle_test.cpp), and read-only
+  // access to the per-partition ledgers (tests/lending_probe.hpp).
   friend struct SettlementOracle;
+  friend struct LendingProbe;
 };
 
 }  // namespace smartmem::cluster

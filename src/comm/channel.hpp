@@ -378,8 +378,8 @@ class Channel {
   obs::TraceRecorder* trace_ = nullptr;
   std::uint16_t trace_track_ = 0;
   const char* trace_name_ = nullptr;  // interned config_.name
-  // Cross-shard mode (bind_cross_shard): nullptr = classic single-simulator
-  // delivery.
+  // Cross-shard mode (bind_cross_shard): nullptr = the receiver runs on
+  // this channel's own simulator.
   sim::ParallelEngine* engine_ = nullptr;
   std::size_t src_shard_ = 0;
   std::size_t dst_shard_ = 0;

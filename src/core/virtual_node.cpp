@@ -28,17 +28,7 @@ class LogClockGuard {
 }  // namespace
 
 VirtualNode::VirtualNode(NodeConfig config)
-    : VirtualNode(std::move(config), nullptr) {}
-
-VirtualNode::VirtualNode(NodeConfig config, sim::Simulator& sim)
-    : VirtualNode(std::move(config), &sim) {}
-
-VirtualNode::VirtualNode(NodeConfig config, sim::Simulator* external)
-    : config_(std::move(config)),
-      owned_sim_(external == nullptr ? std::make_unique<sim::Simulator>()
-                                     : nullptr),
-      sim_(external == nullptr ? *owned_sim_ : *external),
-      cpu_pool_(config_.physical_cores) {
+    : config_(std::move(config)), cpu_pool_(config_.physical_cores) {
   if (config_.obs.any()) {
     observer_ = std::make_unique<obs::Observer>(config_.obs);
   }

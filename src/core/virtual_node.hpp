@@ -149,12 +149,6 @@ class VirtualNode {
  public:
   explicit VirtualNode(NodeConfig config);
 
-  /// Cluster mode: runs this node's whole stack on a shared external
-  /// simulator so N nodes advance on one event loop. The simulator must
-  /// outlive the node. run() must not be used on a shared-sim node — the
-  /// cluster driver steps the simulator and calls finish() itself.
-  VirtualNode(NodeConfig config, sim::Simulator& sim);
-
   VirtualNode(const VirtualNode&) = delete;
   VirtualNode& operator=(const VirtualNode&) = delete;
 
@@ -181,9 +175,9 @@ class VirtualNode {
   SimTime run(SimTime deadline = 4 * 3600 * kSecond);
 
   /// Post-run teardown: final usage sample, sampler/control-plane shutdown,
-  /// final metrics snapshot and observability export. run() calls this;
-  /// cluster drivers stepping a shared simulator call it per node once the
-  /// shared loop has drained. Idempotent.
+  /// final metrics snapshot and observability export. run() calls this; a
+  /// multi-node cluster, whose engine steps the node's simulator as a shard,
+  /// calls it per node once the engine has drained. Idempotent.
   void finish();
 
   /// Observes every VIRQ sample leaving the hypervisor (before uplink
@@ -231,8 +225,6 @@ class VirtualNode {
     bool manual_start = false;
   };
 
-  VirtualNode(NodeConfig config, sim::Simulator* external);
-
   VmSlot& slot(VmId vm);
   const VmSlot& slot(VmId vm) const;
   void record_usage();
@@ -242,10 +234,8 @@ class VirtualNode {
   void wire_observability();
 
   NodeConfig config_;
-  // Single-node mode owns its simulator; cluster mode shares an external
-  // one. sim_ always names the simulator in use.
-  std::unique_ptr<sim::Simulator> owned_sim_;
-  sim::Simulator& sim_;
+  // The node's private event loop (its shard in a multi-node cluster).
+  sim::Simulator sim_;
   sim::CpuPool cpu_pool_;
   std::unique_ptr<sim::DiskDevice> shared_disk_;
   std::unique_ptr<hyper::Hypervisor> hyp_;

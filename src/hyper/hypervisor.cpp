@@ -604,7 +604,7 @@ PageCount Hypervisor::own_used_pages() const {
   const PageCount used = store_.combined_total_pages() -
                          store_.combined_free_pages() +
                          store_.compressed_pages();
-  return used > lent_pages_ ? used - lent_pages_ : 0;
+  return used > lease_depth_ ? used - lease_depth_ : 0;
 }
 
 PageCount Hypervisor::own_used_total() const {
@@ -677,72 +677,6 @@ PageCount Hypervisor::effective_total_tmem() const {
                             : std::min(node_quota_, total_tmem());
 }
 
-tmem::PoolId Hypervisor::lender_pool(std::uint32_t borrower_node, VmId vm,
-                                     tmem::PoolType type) {
-  const auto key = std::make_tuple(borrower_node, vm, type);
-  auto it = lender_pools_.find(key);
-  if (it != lender_pools_.end()) return it->second;
-  // Lent pages are stored *persistent* regardless of the borrower-side pool
-  // type: the donor must never evict the only copy behind the broker's
-  // owner index. Victim-cache semantics for ephemeral-typed borrows are
-  // re-imposed by the broker (flush after hit). The pseudo owner id keeps
-  // the pool outside memstats, targets and slow reclaim. Lent pages are
-  // never compressed: the borrower priced them at full-page remote latency
-  // and the donor must be able to hand each back as a whole frame.
-  const tmem::PoolId pool = store_.create_pool(kLenderVmBase + borrower_node,
-                                               tmem::PoolType::kPersistent,
-                                               /*compressible=*/false);
-  lender_pools_.emplace(key, pool);
-  return pool;
-}
-
-bool Hypervisor::host_remote_put(std::uint32_t borrower_node, VmId vm,
-                                 tmem::PoolType type, std::uint64_t object,
-                                 std::uint32_t index,
-                                 tmem::PagePayload payload) {
-  const tmem::PoolId pool = lender_pool(borrower_node, vm, type);
-  const tmem::TmemKey key{pool, object, index};
-  const bool present = store_.contains(key);
-  if (!present && lendable_pages() == 0) return false;
-  const tmem::PutResult result = store_.put(key, payload);
-  if (result == tmem::PutResult::kNoMemory) return false;
-  if (result == tmem::PutResult::kStored) ++lent_pages_;
-  return true;
-}
-
-std::optional<tmem::PagePayload> Hypervisor::host_remote_get(
-    std::uint32_t borrower_node, VmId vm, tmem::PoolType type,
-    std::uint64_t object, std::uint32_t index) {
-  const auto it =
-      lender_pools_.find(std::make_tuple(borrower_node, vm, type));
-  if (it == lender_pools_.end()) return std::nullopt;
-  // Lender pools are persistent: the get leaves the page in place.
-  return store_.get(tmem::TmemKey{it->second, object, index});
-}
-
-bool Hypervisor::host_remote_flush(std::uint32_t borrower_node, VmId vm,
-                                   tmem::PoolType type, std::uint64_t object,
-                                   std::uint32_t index) {
-  const auto it =
-      lender_pools_.find(std::make_tuple(borrower_node, vm, type));
-  if (it == lender_pools_.end()) return false;
-  const bool existed =
-      store_.flush_page(tmem::TmemKey{it->second, object, index});
-  if (existed && lent_pages_ > 0) --lent_pages_;
-  return existed;
-}
-
-PageCount Hypervisor::host_remote_flush_object(std::uint32_t borrower_node,
-                                               VmId vm, tmem::PoolType type,
-                                               std::uint64_t object) {
-  const auto it =
-      lender_pools_.find(std::make_tuple(borrower_node, vm, type));
-  if (it == lender_pools_.end()) return 0;
-  const PageCount freed = store_.flush_object(it->second, object);
-  lent_pages_ = lent_pages_ > freed ? lent_pages_ - freed : 0;
-  return freed;
-}
-
 PageCount Hypervisor::host_lease(PageCount want) {
   if (want == 0) return 0;
   if (!lease_pool_) {
@@ -755,13 +689,10 @@ PageCount Hypervisor::host_lease(PageCount want) {
   // lendable_pages() shrinks by one per leased frame (free falls, own usage
   // does not), so the loop self-limits at exactly the lendable capacity.
   while (got < want && lendable_pages() > 0) {
-    if (store_.put(tmem::TmemKey{*lease_pool_, 0, lease_top_}, 1) !=
-        tmem::PutResult::kStored) {
-      break;
-    }
-    ++lease_top_;
+    const tmem::TmemKey key{*lease_pool_, 0,
+                            static_cast<std::uint32_t>(lease_depth_)};
+    if (store_.put(key, 1) != tmem::PutResult::kStored) break;
     ++lease_depth_;
-    ++lent_pages_;
     ++got;
   }
   return got;
@@ -769,10 +700,9 @@ PageCount Hypervisor::host_lease(PageCount want) {
 
 void Hypervisor::host_unlease(PageCount count) {
   while (count > 0 && lease_depth_ > 0) {
-    --lease_top_;
-    store_.flush_page(tmem::TmemKey{*lease_pool_, 0, lease_top_});
     --lease_depth_;
-    if (lent_pages_ > 0) --lent_pages_;
+    store_.flush_page(tmem::TmemKey{
+        *lease_pool_, 0, static_cast<std::uint32_t>(lease_depth_)});
     --count;
   }
 }
@@ -859,7 +789,7 @@ void Hypervisor::register_metrics(obs::Registry& reg) const {
                                            : static_cast<double>(node_quota_);
   });
   reg.add_gauge("hyper.lent_pages",
-                [this] { return static_cast<double>(lent_pages_); });
+                [this] { return static_cast<double>(lease_depth_); });
   reg.add_gauge("hyper.borrowed_pages", [this] {
     return remote_ != nullptr
                ? static_cast<double>(remote_->borrowed_total())

@@ -17,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -176,26 +175,6 @@ class Hypervisor {
   /// apply_targets: only a newer seq applies; seq 0 always applies.
   void apply_node_quota(std::uint64_t seq, PageCount quota);
 
-  // Donor-side host operations, called synchronously by the lending broker
-  // when *another* node borrows from this one. Lent pages live in dedicated
-  // per-(borrower, vm, type) pools owned by a pseudo VM id outside the
-  // guest range, stored persistent so the donor can never evict the only
-  // copy behind the broker's index.
-  bool host_remote_put(std::uint32_t borrower_node, VmId vm,
-                       tmem::PoolType type, std::uint64_t object,
-                       std::uint32_t index, tmem::PagePayload payload);
-  std::optional<tmem::PagePayload> host_remote_get(std::uint32_t borrower_node,
-                                                   VmId vm,
-                                                   tmem::PoolType type,
-                                                   std::uint64_t object,
-                                                   std::uint32_t index);
-  bool host_remote_flush(std::uint32_t borrower_node, VmId vm,
-                         tmem::PoolType type, std::uint64_t object,
-                         std::uint32_t index);
-  PageCount host_remote_flush_object(std::uint32_t borrower_node, VmId vm,
-                                     tmem::PoolType type,
-                                     std::uint64_t object);
-
   /// Re-inserts a recalled page into the VM's own pool, bypassing the
   /// Algorithm-1 counters (it is a migration, not a guest put). Only
   /// genuinely free frames are used — returns false when the node is full
@@ -203,8 +182,8 @@ class Hypervisor {
   bool rehome_page(VmId vm, tmem::PoolType type, std::uint64_t object,
                    std::uint32_t index, tmem::PagePayload payload);
 
-  /// Bulk frame reservation for the sharded lending protocol: at an engine
-  /// barrier the broker leases every currently-lendable frame so borrower
+  /// Bulk frame reservation for the lending protocol: at an engine barrier
+  /// the broker leases every currently-lendable frame so borrower
   /// shards can consume placement credit mid-window without touching this
   /// donor. Leased frames occupy real store capacity (a dedicated persistent
   /// pool under a pseudo VM) and count as lent. Stops at `want` frames or
@@ -256,8 +235,9 @@ class Hypervisor {
   /// Own physical usage plus pages borrowed from donors — what the node
   /// quota caps.
   PageCount own_used_total() const;
-  /// Frames currently hosted for other nodes.
-  PageCount lent_pages() const { return lent_pages_; }
+  /// Frames currently hosted for other nodes (every one of them is leased,
+  /// so this equals leased_pages()).
+  PageCount lent_pages() const { return lease_depth_; }
   /// Capacity the node may lend without eating into its own entitlement
   /// (min(quota, physical) pages are reserved for the node's own guests).
   PageCount lendable_pages() const;
@@ -317,11 +297,6 @@ class Hypervisor {
                                           std::uint32_t index,
                                           tmem::Tier* tier);
 
-  /// Lazily creates the donor-side pool hosting pages lent to
-  /// (borrower_node, vm, type).
-  tmem::PoolId lender_pool(std::uint32_t borrower_node, VmId vm,
-                           tmem::PoolType type);
-
   void sample_tick();
   void apply_equal_share_targets();
   void slow_reclaim();
@@ -359,7 +334,6 @@ class Hypervisor {
   PageCount node_quota_ = kUnlimitedTarget;
   RemoteTmem* remote_ = nullptr;
   SimTime remote_op_elapsed_ = 0;  // remote leg of the last put/get hypercall
-  PageCount lent_pages_ = 0;  // frames hosted for other nodes
   std::uint64_t last_quota_seq_ = 0;
   std::uint64_t quota_updates_ = 0;
   std::uint64_t stale_quotas_dropped_ = 0;
@@ -367,23 +341,15 @@ class Hypervisor {
   std::uint64_t remote_gets_ = 0;   // gets served by a donor
   std::uint64_t quota_evictions_ = 0;       // frames recycled at the quota wall
   PageCount node_pages_reclaimed_ = 0;      // via the node-quota reclaim pass
-  // Donor-side pools hosting lent pages, by (borrower node, vm, type).
-  std::map<std::tuple<std::uint32_t, VmId, tmem::PoolType>, tmem::PoolId>
-      lender_pools_;
-  // Bulk-lease reservation pool (sharded lending): dummy persistent pages
-  // with monotonically increasing indices, pushed/popped LIFO.
+  // Bulk-lease reservation pool (lending): dummy persistent pages indexed
+  // 0..lease_depth_-1, pushed/popped LIFO. Every lent frame is leased.
   std::optional<tmem::PoolId> lease_pool_;
-  std::uint32_t lease_top_ = 0;    // next index to lease
-  PageCount lease_depth_ = 0;      // frames outstanding
+  PageCount lease_depth_ = 0;  // frames outstanding, also the next index
 };
 
-/// Pseudo VM id owning the bulk-lease reservation pool (sharded lending);
-/// sits just below kLenderVmBase, equally outside the guest range.
+/// Pseudo VM id owning the bulk-lease reservation pool (lending), far
+/// outside any guest id, so leased frames are invisible to memstats,
+/// targets and slow reclaim.
 inline constexpr VmId kLeaseVmId = 0x3fffffffu;
-
-/// Pseudo VM id owning donor-side lender pools: borrower node i's pages live
-/// under kLenderVmBase + i, far outside any guest id, so they are invisible
-/// to memstats, targets and slow reclaim.
-inline constexpr VmId kLenderVmBase = 0x40000000u;
 
 }  // namespace smartmem::hyper

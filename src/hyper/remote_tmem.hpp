@@ -10,9 +10,8 @@
 //
 // Key space: a borrowed page is identified by the borrower's own
 // (vm, pool type, object, index) tuple. The broker maps that tuple to the
-// donor holding it; on the donor the page lives in a dedicated lender pool
-// (one per borrower node x vm x type), so borrowed keys can never collide
-// with the donor's own guests.
+// donor whose leased frame backs it and keeps the payload itself on the
+// borrower side, so borrowed keys never enter the donor's own pools.
 #pragma once
 
 #include <cstdint>

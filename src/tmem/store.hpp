@@ -90,8 +90,8 @@ class TmemStore {
 
   /// Creates a pool owned by `owner`. Pool ids are never reused.
   /// `compressible` = false keeps every page of the pool out of the
-  /// compressed tier — the cluster layer marks donor-side lender/lease
-  /// pools this way so borrowed pages never double-compress.
+  /// compressed tier — the cluster layer marks the donor-side lease pool
+  /// this way so a leased frame is always a whole frame.
   PoolId create_pool(VmId owner, PoolType type, bool compressible = true);
 
   /// Flushes every page of the pool and forgets it.

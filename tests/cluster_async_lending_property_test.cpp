@@ -1,23 +1,27 @@
 // Fault-model battery for the asynchronous lending fabric (DESIGN §15).
 //
 // Part 1 is a seeded fuzz over the fault grid (loss x reorder x outage x
-// cache capacity x seed) driving a 3-node immediate rig through random
-// put/get/flush/release/recall traffic against a model map, asserting the
-// broker invariants the ISSUE names: lease-depth conservation (donor lent
-// frames == borrower index == model), no page loss or duplication (every
-// owned key serves exactly the model payload; a recalled persistent page
-// reappears in the borrower's own store), and that every borrow terminates
-// as placed, failed, or recalled — which the fabric's counter identities
-// (requests == responses + timeouts, timeouts fully attributed to a fault,
-// attempts fully attributed to success/retry/give-up) make checkable.
+// cache capacity x seed) driving a 3-node rig through random
+// put/get/flush/release/recall traffic against a model map, with a window
+// barrier (sync_window) every 16 operations. It asserts the broker
+// invariants: lease-depth conservation (borrower index == model, and after
+// every barrier, per donor d, leased_pages(d) == sum over borrowers b of
+// (pages b borrowed from d + credit[b][d] + pending_release[b][d])), no
+// page loss or duplication (every owned key serves exactly the model
+// payload; a recalled persistent page reappears in the borrower's own
+// store), and that every borrow terminates as placed, failed, or recalled —
+// which the fabric's counter identities (requests == responses + timeouts,
+// timeouts fully attributed to a fault, attempts fully attributed to
+// success/retry/give-up) make checkable.
 //
 // Part 2 re-proves thread-count invariance with the async fabric in the
 // loop: a lending-heavy fleet run (with and without wire faults) must be
 // byte-identical at --sim-threads 1, 2 and 4.
 //
-// Part 3 is the recall-vs-in-flight-borrow regression: a quota shrink that
-// recalls pages while borrow completion timers are still pending must not
-// crash, strand in-flight accounting, or leave a stale cache entry.
+// Part 3 is the recall-vs-in-flight-borrow regression: a donor entitlement
+// grow whose barrier recalls pages while borrow completion timers are still
+// pending must not crash, strand in-flight accounting, or leave a stale
+// cache entry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,6 +35,7 @@
 #include "common/strfmt.hpp"
 #include "comm/topology.hpp"
 #include "hyper/hypervisor.hpp"
+#include "lending_probe.hpp"
 #include "sim/simulator.hpp"
 #include "tmem/store.hpp"
 
@@ -49,7 +54,7 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
 }
 
 /// Three-node async rig: node 0 borrows, nodes 1 and 2 donate half their
-/// frames each.
+/// frames each. A first barrier grants the donors' frames as credit.
 struct FuzzRig {
   FuzzRig(const comm::ClusterTopology& topo, const AsyncLendingConfig& acfg)
       : borrower(sim, hyp_config(kPhys)),
@@ -66,6 +71,11 @@ struct FuzzRig {
     donor2.set_node_quota(kPhys / 2);
     broker.enable_async(acfg, topo);
     for (NodeId n = 0; n < 3; ++n) broker.attach_sim(n, &sim);
+    broker.sync_window();
+  }
+
+  const hyper::Hypervisor& hyp(NodeId n) const {
+    return n == 0 ? borrower : (n == 1 ? donor1 : donor2);
   }
 
   sim::Simulator sim;
@@ -120,11 +130,26 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
                      static_cast<std::uint32_t>(rng.uniform(8))};
   };
   auto check_conservation = [&] {
-    // Lease-depth conservation: every model entry is owned, backed by
-    // exactly one donor frame, and nothing else is.
+    // Every model entry is owned and placed on exactly one donor, and
+    // nothing else is.
     ASSERT_EQ(rig.broker.borrowed_total(0), model.size());
-    ASSERT_EQ(rig.donor1.lent_pages() + rig.donor2.lent_pages(),
+    ASSERT_EQ(LendingProbe::borrowed_from(rig.broker, 0, 1) +
+                  LendingProbe::borrowed_from(rig.broker, 0, 2),
               model.size());
+  };
+  auto barrier = [&] {
+    // Settle the window, then every donor's lease depth must equal what
+    // the borrowers hold against it: placed pages, unused credit and
+    // (always 0 right after settlement) pending releases.
+    rig.broker.sync_window();
+    for (NodeId d = 0; d < 3; ++d) {
+      for (NodeId b = 0; b < 3; ++b) {
+        ASSERT_EQ(LendingProbe::pending_release(rig.broker, b, d), 0u);
+      }
+      ASSERT_EQ(rig.hyp(d).leased_pages(),
+                LendingProbe::lease_backed(rig.broker, d))
+          << "lease identity, donor " << d;
+    }
   };
 
   for (int op = 0; op < 200; ++op) {
@@ -219,6 +244,8 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
     if (op % 16 == 0) {
       check_conservation();
       check_counter_identities(rig.broker.fabric()->totals());
+      barrier();
+      check_conservation();
     }
   }
 
@@ -227,6 +254,7 @@ void fuzz_run(const FaultCase& fc, std::uint64_t seed) {
   rig.sim.run();
   ASSERT_EQ(rig.broker.fabric()->in_flight(0), 0u);
   check_conservation();
+  barrier();
   check_counter_identities(rig.broker.fabric()->totals());
   const LendFabricStats t = rig.broker.fabric()->totals();
   if (fc.loss >= 1.0) {
@@ -334,12 +362,12 @@ TEST(AsyncLendingPropertyTest, RecallWhileBorrowTimersInFlight) {
   }
   ASSERT_GT(rig.broker.fabric()->in_flight(0), 0u);
 
-  // Quota shrink on both donors recalls everything mid-flight.
+  // Both donors are entitled to their whole store again: the next barrier
+  // sheds their unused credit and recalls every placed page mid-flight.
   rig.donor1.set_node_quota(kPhys);
   rig.donor2.set_node_quota(kPhys);
-  const PageCount recalled = rig.broker.recall_lent(1, kPhys) +
-                             rig.broker.recall_lent(2, kPhys);
-  EXPECT_EQ(recalled, 4u);
+  rig.broker.sync_window();
+  EXPECT_EQ(rig.broker.recalls(), 4u);
   EXPECT_EQ(rig.broker.borrowed_total(0), 0u);
   EXPECT_EQ(rig.donor1.lent_pages() + rig.donor2.lent_pages(), 0u);
   // The borrower cache cannot outlive the entries it mirrored.

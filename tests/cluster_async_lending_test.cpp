@@ -11,6 +11,7 @@
 #include "cluster/lending.hpp"
 #include "comm/topology.hpp"
 #include "hyper/hypervisor.hpp"
+#include "lending_probe.hpp"
 #include "sim/simulator.hpp"
 #include "tmem/store.hpp"
 
@@ -31,9 +32,10 @@ hyper::HypervisorConfig hyp_config(PageCount pages) {
   return cfg;
 }
 
-/// Two-node async rig: node 0 borrows, node 1 donates, both on one shared
-/// simulator (immediate mode). The topology and protocol config are taken
-/// at construction so tests can install faults/queue bounds first.
+/// Two-node async rig: node 0 borrows, node 1 donates, both on one
+/// simulator. The topology and protocol config are taken at construction
+/// so tests can install faults/queue bounds first; a first barrier grants
+/// the donor's lendable frames to the borrower as credit.
 struct AsyncRig {
   explicit AsyncRig(const comm::ClusterTopology& topo,
                     const AsyncLendingConfig& acfg)
@@ -48,9 +50,14 @@ struct AsyncRig {
     broker.enable_async(acfg, topo);
     broker.attach_sim(0, &sim);
     broker.attach_sim(1, &sim);
+    broker.sync_window();
   }
 
   LendFabricStats totals() const { return broker.fabric()->totals(); }
+  PageCount credit() const { return LendingProbe::credit(broker, 0, 1); }
+  PageCount pending() const {
+    return LendingProbe::pending_release(broker, 0, 1);
+  }
 
   sim::Simulator sim;
   hyper::Hypervisor borrower;
@@ -125,7 +132,7 @@ TEST(AsyncLendingTest, TotalRequestLossExhaustsAttemptsIntoAFailedPut) {
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 42));
   EXPECT_EQ(rig.broker.failed_placements(), 1u);
   EXPECT_EQ(rig.broker.borrow_placements(), 0u);
-  EXPECT_EQ(rig.donor.lent_pages(), 0u);
+  EXPECT_EQ(rig.credit(), kPhys / 2);  // no donor frame was consumed
   // The guest pays the full retry budget: max_attempts x timeout.
   const AsyncLendingConfig defaults = async_on();
   EXPECT_EQ(rig.broker.port(0)->last_op_elapsed(),
@@ -226,7 +233,7 @@ TEST(AsyncLendingTest, FailedReplacementDropsTheEntrySoOwnsNeverLies) {
       rig.broker.port(0)->remote_put(kVm, PoolType::kPersistent, 1, 0, 43));
   EXPECT_EQ(rig.broker.failed_replacements(), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
-  EXPECT_EQ(rig.donor.lent_pages(), 0u);
+  EXPECT_EQ(rig.pending(), 1u);  // the stale donor frame is released
   EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)
                    ->remote_get(kVm, PoolType::kPersistent, 1, 0)
@@ -325,7 +332,8 @@ TEST(AsyncLendingCacheTest, HitServesAtTheAccessPointForFree) {
   EXPECT_EQ(rig.totals().requests, 1u);  // only the put went out
   EXPECT_EQ(rig.broker.fabric()->cache(0).hits(), 1u);
   // The donor copy survives a persistent cache hit.
-  EXPECT_EQ(rig.donor.lent_pages(), 1u);
+  EXPECT_EQ(LendingProbe::borrowed_from(rig.broker, 0, 1), 1u);
+  EXPECT_EQ(rig.pending(), 0u);
   EXPECT_TRUE(rig.broker.port(0)->owns(kVm, PoolType::kPersistent, 1, 0));
   // The modeled get RTT records the hit at 0 us — the metric the cache cuts.
   EXPECT_EQ(rig.totals().get_rtt_us.count(), 1u);
@@ -336,16 +344,17 @@ TEST(AsyncLendingCacheTest, EphemeralHitStaysExclusiveViaInvalidate) {
   AsyncRig rig((comm::ClusterTopology()), async_on(8));
   ASSERT_TRUE(
       rig.broker.port(0)->remote_put(kVm, PoolType::kEphemeral, 2, 0, 7));
-  ASSERT_EQ(rig.donor.lent_pages(), 1u);
+  ASSERT_EQ(LendingProbe::borrowed_from(rig.broker, 0, 1), 1u);
 
   // The cache hit consumes the borrowed page exactly like a fabric hit
-  // would: fire-and-forget invalidate, donor frame freed, index forgets.
+  // would: fire-and-forget invalidate, donor frame queued for release,
+  // index forgets.
   const auto hit =
       rig.broker.port(0)->remote_get(kVm, PoolType::kEphemeral, 2, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 7u);
   EXPECT_GE(rig.totals().invalidates, 1u);
-  EXPECT_EQ(rig.donor.lent_pages(), 0u);
+  EXPECT_EQ(rig.pending(), 1u);
   EXPECT_FALSE(rig.broker.port(0)->owns(kVm, PoolType::kEphemeral, 2, 0));
   EXPECT_EQ(rig.broker.fabric()->cache(0).size(), 0u);
   EXPECT_FALSE(rig.broker.port(0)

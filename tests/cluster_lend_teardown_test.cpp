@@ -45,6 +45,7 @@ struct AsyncRig {
       broker.attach_sim(0, &sim);
       broker.attach_sim(1, &sim);
     }
+    broker.sync_window();  // grants the donor's frames as credit
   }
 
   sim::Simulator sim;
@@ -115,18 +116,22 @@ TEST(LendTeardownTest, TrafficAfterStopRearmsTheFabric) {
 // ---- Cluster-level: teardown mid-flight via the deadline cap --------------
 
 TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
-  // The real Cluster::teardown() path, not the rig: zero-latency rack hops
-  // force the classic shared-simulator wiring, the cluster-owned broker's
-  // port places borrows whose completion timers are pending on the
-  // cluster's own simulator, and run() (all VM-less nodes are trivially
-  // done) goes straight to teardown — which must cancel them exactly as
-  // Tkm::stop() cancels pending deliveries.
+  // The real Cluster::teardown() path, not the rig: the cluster-owned
+  // broker's port places borrows whose completion timers are pending on
+  // node 0's shard. The lending hops are slow (1 s each way, with a
+  // matching attempt timeout) so the timers lie past the engine's first
+  // window; run() (all VM-less nodes are done after that window) then goes
+  // to teardown — which must cancel them exactly as Tkm::stop() cancels
+  // pending deliveries.
   ClusterConfig ccfg;
   ccfg.topology.node_count = 2;
-  ccfg.topology.internode_up.latency = comm::LatencySpec::fixed_at(0);
-  ccfg.topology.internode_down.latency = comm::LatencySpec::fixed_at(0);
+  ccfg.topology.internode_lend_req.latency =
+      comm::LatencySpec::fixed_at(kSecond);
+  ccfg.topology.internode_lend_resp.latency =
+      comm::LatencySpec::fixed_at(kSecond);
   ccfg.lending_async.enabled = true;
   ccfg.lending_async.cache_pages = 8;
+  ccfg.lending_async.timeout = 10 * kSecond;
   Cluster cluster(std::move(ccfg));
   core::NodeConfig ncfg;
   ncfg.tmem_pages = kPhys;
@@ -141,6 +146,8 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   LendingBroker* broker = cluster.broker();
   ASSERT_NE(broker, nullptr);
   ASSERT_NE(broker->fabric(), nullptr);
+  // A barrier before any window grants node 1's lendable frames as credit.
+  broker->sync_window();
   for (std::uint32_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(broker->port(0)->remote_put(kVm, PoolType::kPersistent, 1, i,
                                             100 + i));
@@ -151,10 +158,11 @@ TEST(LendTeardownTest, ClusterTeardownCancelsMidFlightBorrows) {
   EXPECT_EQ(broker->fabric()->totals().cancelled_timers, 3u);
   EXPECT_EQ(broker->fabric()->in_flight(0), 0u);
 
-  // The PR-2 regression class: a cancelled callback must be dead, not a
-  // crash waiting in the queue after teardown.
-  cluster.simulator().run();
+  // A cancelled callback must be dead, not a crash waiting in the queue
+  // after teardown: draining node 0's shard fires none of the timers.
+  cluster.node(0).simulator().run();
   EXPECT_EQ(broker->fabric()->totals().cancelled_timers, 3u);
+  EXPECT_EQ(broker->fabric()->in_flight(0), 0u);
 }
 
 TEST(LendTeardownTest, TruncatedFleetRunCompletesCleanly) {

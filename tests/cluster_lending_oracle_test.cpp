@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "common/strfmt.hpp"
 #include "hyper/hypervisor.hpp"
+#include "lending_probe.hpp"
 #include "sim/simulator.hpp"
 
 namespace smartmem::cluster {
@@ -106,14 +107,6 @@ struct SettlementOracle {
     }
     br.peak_borrowed_ = std::max(br.peak_borrowed_, total);
   }
-
-  static PageCount credit(const LendingBroker& br, NodeId b, NodeId d) {
-    return br.state_[b].credit[d];
-  }
-  static PageCount pending_release(const LendingBroker& br, NodeId b,
-                                   NodeId d) {
-    return br.state_[b].pending_release[d];
-  }
 };
 
 namespace {
@@ -122,7 +115,7 @@ using tmem::PoolType;
 
 constexpr VmId kVm = 1;
 
-/// One rack: N hypervisors on a shared simulator behind a sharded broker.
+/// One rack: N hypervisors on one simulator behind a broker.
 struct Rack {
   explicit Rack(const std::vector<PageCount>& phys) {
     std::vector<hyper::Hypervisor*> ptrs;
@@ -132,7 +125,7 @@ struct Rack {
       hyps.push_back(std::make_unique<hyper::Hypervisor>(sim, cfg));
       ptrs.push_back(hyps.back().get());
     }
-    broker = std::make_unique<LendingBroker>(ptrs, LendingMode::kSharded);
+    broker = std::make_unique<LendingBroker>(ptrs);
     for (NodeId i = 0; i < hyps.size(); ++i) {
       hyps[i]->register_vm(kVm);
       hyps[i]->set_remote_tmem(broker->port(i));
@@ -163,11 +156,10 @@ void expect_same(const Rack& real, const Rack& ref, int window) {
   const LendingBroker& b = *ref.broker;
   for (NodeId bo = 0; bo < n; ++bo) {
     for (NodeId d = 0; d < n; ++d) {
-      ASSERT_EQ(SettlementOracle::credit(a, bo, d),
-                SettlementOracle::credit(b, bo, d))
+      ASSERT_EQ(LendingProbe::credit(a, bo, d), LendingProbe::credit(b, bo, d))
           << "credit[" << bo << "][" << d << "]";
-      ASSERT_EQ(SettlementOracle::pending_release(a, bo, d),
-                SettlementOracle::pending_release(b, bo, d))
+      ASSERT_EQ(LendingProbe::pending_release(a, bo, d),
+                LendingProbe::pending_release(b, bo, d))
           << "pending_release[" << bo << "][" << d << "]";
     }
     ASSERT_EQ(a.borrowed_total(bo), b.borrowed_total(bo)) << "node " << bo;
@@ -177,6 +169,8 @@ void expect_same(const Rack& real, const Rack& ref, int window) {
         << "donor " << d;
     ASSERT_EQ(real.hyps[d]->leased_pages(), ref.hyps[d]->leased_pages())
         << "donor " << d;
+    ASSERT_EQ(real.hyps[d]->leased_pages(), LendingProbe::lease_backed(a, d))
+        << "lease identity, donor " << d;
     ASSERT_EQ(real.hyps[d]->free_tmem(), ref.hyps[d]->free_tmem())
         << "node " << d;
   }

@@ -1,13 +1,16 @@
 // ClusterTopology: single-node byte-identity of the node-0 config, seed
 // derivation and independence for higher nodes, per-node override semantics
-// (latency asymmetry), outage isolation between per-node channels, and time
-// scaling.
+// (latency asymmetry), outage isolation between per-node channels, time
+// scaling, and the Cluster's rejection of a multi-node topology with no
+// positive inter-node lower bound.
 #include "comm/topology.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "sim/simulator.hpp"
 
 namespace smartmem::comm {
@@ -135,6 +138,36 @@ TEST(ClusterTopologyTest, ScaleTimesCoversTemplatesAndOverrides) {
   EXPECT_EQ(topo.uplink_for(0).latency.fixed, 5 * kMillisecond / 2);
   EXPECT_EQ(topo.uplink_for(1).latency.fixed, 25 * kMillisecond);
   EXPECT_EQ(topo.downlink_for(0).latency.fixed, 5 * kMillisecond / 2);
+}
+
+/// A 2-node cluster over `up` as its inter-node uplink hop.
+void expect_start_rejects(const LatencySpec& up) {
+  cluster::ClusterConfig cfg;
+  cfg.topology.node_count = 2;
+  cfg.topology.internode_up.latency = up;
+  cluster::Cluster c(std::move(cfg));
+  c.add_node(core::NodeConfig{});
+  c.add_node(core::NodeConfig{});
+  EXPECT_THROW(c.start(), std::invalid_argument);
+}
+
+TEST(ClusterTopologyTest, ClusterRejectsLognormalInternodeHop) {
+  // An unbounded lower tail leaves the parallel engine no safe window.
+  expect_start_rejects(LatencySpec::lognormal(5 * kMillisecond, 0.5));
+}
+
+TEST(ClusterTopologyTest, ClusterRejectsZeroInternodeHop) {
+  expect_start_rejects(LatencySpec::fixed_at(0));
+}
+
+TEST(ClusterTopologyTest, OneNodeClusterNeedsNoInternodeLowerBound) {
+  // A rack of one wires no engine, so the hop is never used.
+  cluster::ClusterConfig cfg;
+  cfg.topology.internode_up.latency = LatencySpec::fixed_at(0);
+  cluster::Cluster c(std::move(cfg));
+  c.add_node(core::NodeConfig{});
+  EXPECT_NO_THROW(c.start());
+  EXPECT_EQ(c.engine(), nullptr);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(TraceSamplingTest, MergeFromPreservesSampledEvents) {
 /// per engine shard, every shard event emits a sampled span, rings merged
 /// into a root recorder in shard order after the run. The exported JSON
 /// must be byte-identical at any worker-thread count.
-std::string run_sharded_sampled(std::size_t threads) {
+std::string run_sampled_cluster(std::size_t threads) {
   sim::Simulator s0, s1, s2;
   sim::ParallelEngine eng({/*lookahead=*/100, threads});
   std::vector<sim::Simulator*> sims = {&s0, &s1, &s2};
@@ -162,11 +162,11 @@ std::string run_sharded_sampled(std::size_t threads) {
 }
 
 TEST(TraceSamplingTest, SampledSetInvariantUnderSimThreads) {
-  const std::string base = run_sharded_sampled(1);
+  const std::string base = run_sampled_cluster(1);
   EXPECT_NE(base.find("tick"), std::string::npos);
   EXPECT_NE(base.find("hop"), std::string::npos);
-  EXPECT_EQ(run_sharded_sampled(2), base);
-  EXPECT_EQ(run_sharded_sampled(4), base);
+  EXPECT_EQ(run_sampled_cluster(2), base);
+  EXPECT_EQ(run_sampled_cluster(4), base);
 }
 
 /// End-to-end on the real call sites: a scenario run with 1-in-4 sampling

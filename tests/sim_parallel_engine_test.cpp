@@ -30,7 +30,8 @@ TEST(ParallelEngineTest, ZeroLookaheadRejected) {
 
 TEST(ParallelEngineTest, LognormalLatencyHasZeroLookahead) {
   // The unbounded-tail latency model offers no safe window: min_latency is
-  // 0, so a topology using it must fall back to the shared-simulator path.
+  // 0, so a multi-node Cluster rejects a topology using it at start()
+  // (cluster_topology_test covers the rejection).
   const comm::LatencySpec spec =
       comm::LatencySpec::lognormal(5 * kMillisecond, 0.5);
   EXPECT_EQ(comm::min_latency(spec), 0);
